@@ -212,7 +212,7 @@ def _add_format(sub) -> None:
 
 def _add_threads(sub) -> None:
     sub.add_argument("--threads", type=_positive_int, default=None, metavar="T",
-                     help=f"worker cap, overrides {ENV_THREADS} (default 1)")
+                     help=f"Monte Carlo worker cap, overrides {ENV_THREADS} (default 1)")
 
 
 def _add_n_max(sub) -> None:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from votebounds import (
@@ -30,6 +32,17 @@ def random_pair(rng, n, low=0.0, high=1.0):
     )
 
 
+@st.composite
+def structured_pairs(draw):
+    """Pairs with 0/1 entries, duplicate coordinates and p_i == q_i coordinates."""
+    unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    coordinate = st.one_of(st.tuples(unit, unit), unit.map(lambda v: (v, v)))
+    kinds = draw(st.lists(coordinate, min_size=1, max_size=5))
+    n = draw(st.integers(1, 14))
+    p, q = zip(*draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n)))
+    return ProductBernoulli(p), ProductBernoulli(q)
+
+
 class TestMinMass:
     def test_identical_measures(self, rng):
         for n in (1, 3, 7):
@@ -47,12 +60,38 @@ class TestMinMass:
         assert_allclose(got, 0.2, atol=1e-12)
 
     def test_matches_brute_enumeration(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(1, 9))
-            p, q = random_pair(rng, n)
+        # every n up to 14, so both the whole-table sum and the
+        # meet-in-the-middle split (even and odd halves) are reached
+        for n in [*range(1, 15), *rng.integers(1, 15, 16)]:
+            p, q = random_pair(rng, int(n))
             assert_allclose(
                 min_mass(p, q), oracles.brute_min_mass(p.p, q.p), atol=1e-12
             )
+
+    @given(structured_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_structured_pairs_match_brute_enumeration(self, pair):
+        p, q = pair
+        assert_allclose(min_mass(p, q), oracles.brute_min_mass(p.p, q.p), atol=1e-12)
+        assert_allclose(tv_distance(p, q), oracles.brute_tv(p.p, q.p), atol=1e-12)
+
+    def test_duplicate_panel_keeps_relative_accuracy(self):
+        # Three expert types over 21 coordinates: the overlap is about
+        # 4e-5, so a sum of Q mass above the threshold taken as total
+        # minus prefix loses over 1e-11 of it to cancellation.
+        types = [(0.73, 0.59), (0.89, 0.94), (0.83, 0.85)]
+        psi, eta = zip(*(types[int(t)] for t in "222102111022112111001"))
+        panel = ExpertPanel(psi=psi, eta=eta)
+
+        def table(p):
+            out = np.ones(1)
+            for pi in p:
+                out = np.outer(out, [1.0 - pi, pi]).ravel()
+            return out
+
+        P, Q = panel.law_given_one(), panel.law_given_zero()
+        want = 0.5 * math.fsum(np.minimum(table(P.p), table(Q.p)))
+        assert_allclose(optimal_error(panel), want, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -104,8 +143,7 @@ class TestTvDistance:
             assert_allclose(tv_distance(p, q) + min_mass(p, q), 1.0, atol=1e-12)
 
     def test_matches_brute_enumeration(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 8))
+        for n in range(1, 15):
             p, q = random_pair(rng, n)
             assert_allclose(tv_distance(p, q), oracles.brute_tv(p.p, q.p), atol=1e-12)
 
