@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _parallel
 from .core import ExpertPanel, ProductBernoulli, ValidationError
-from .rule import build_rule
+from .rule import _scores, build_rule
 
 __all__ = ["BLOCK_SIZE", "SimulationResult", "simulate_error", "estimate_min_mass"]
 
@@ -84,32 +84,17 @@ def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
     trials, seed = _check_trials_seed(trials, seed)
     w = _parallel.resolve_workers(workers)
     rule = build_rule(panel)
-    psi = panel.psi
     vote_one_prob_given_zero = 1.0 - panel.eta
-    p_y = panel.p_y
-    n = panel.n
-    w1 = rule.vote_one_weights
-    w0 = rule.vote_zero_weights
-    offset = rule.offset
-
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def block_count(b: int) -> int:
         m = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
-        rng = _block_generator(seed, b)
-        u = rng.random((m, n + 1))
-        y = u[:, 0] < p_y
-        vote_prob = np.where(y[:, None], psi, vote_one_prob_given_zero)
-        x = u[:, 1:] < vote_prob
-        score = np.full(m, offset)
-        for i in range(n):
-            score += np.where(x[:, i], w1[i], w0[i])
-        decision = score >= 0.0
-        return int(np.count_nonzero(decision != y))
+        u = _block_generator(seed, b).random((m, panel.n + 1))
+        y = u[:, 0] < panel.p_y
+        x = u[:, 1:] < np.where(y[:, None], panel.psi, vote_one_prob_given_zero)
+        return int(np.count_nonzero((rule._score_rows(x) >= 0.0) != y))
 
-    counts = _parallel.map_ordered(block_count, range(n_blocks), w)
-    mismatches = sum(counts)
-    p_hat = mismatches / trials
+    p_hat = sum(_parallel.map_ordered(block_count, range(n_blocks), w)) / trials
     return SimulationResult(
         trials=trials,
         empirical_error=p_hat,
@@ -123,38 +108,27 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     """Unbiased estimate of the minimum-mass overlap of two product laws.
 
     Samples x from P and averages min(1, Q(x) / P(x)); the expectation is
-    exactly the mass of the pointwise minimum. The likelihood ratio is
-    assembled from per-coordinate log terms, so P must stay strictly
-    inside (0, 1) while Q may touch the boundary (its zero-probability
-    outcomes simply contribute ratio zero). Returns (estimate, std_error).
+    exactly the mass of the pointwise minimum. Either law may touch the
+    boundary: outcomes with P(x) = 0 are never drawn, so their undefined
+    log terms are never selected, and outcomes with Q(x) = 0 contribute
+    ratio zero. Returns (estimate, std_error).
     """
     if not isinstance(P, ProductBernoulli) or not isinstance(Q, ProductBernoulli):
         raise ValidationError("expected a pair of ProductBernoulli laws")
     if P.n != Q.n:
         raise ValidationError(f"dimension mismatch: {P.n} vs {Q.n} coordinates")
-    if np.any(P.p <= 0.0) or np.any(P.p >= 1.0):
-        bad = int(np.flatnonzero((P.p <= 0.0) | (P.p >= 1.0))[0])
-        raise ValidationError(
-            f"sampling law must be interior, P.p[{bad}] = {P.p[bad]}; "
-            "swap the pair or use simulate_error"
-        )
     trials, seed = _check_trials_seed(trials, seed)
     w = _parallel.resolve_workers(workers)
-    n = P.n
-    p = P.p
-    with np.errstate(divide="ignore"):
-        log_ratio_one = np.log(Q.p) - np.log(p)
-        log_ratio_zero = np.log(1.0 - Q.p) - np.log(1.0 - p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio_one = np.log(Q.p) - np.log(P.p)
+        log_ratio_zero = np.log(1.0 - Q.p) - np.log(1.0 - P.p)
 
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def block_sums(b: int) -> tuple[float, float]:
         m = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
-        rng = _block_generator(seed, b)
-        x = rng.random((m, n)) < p
-        log_lr = np.zeros(m)
-        for i in range(n):
-            log_lr += np.where(x[:, i], log_ratio_one[i], log_ratio_zero[i])
+        x = _block_generator(seed, b).random((m, P.n)) < P.p
+        log_lr = _scores(x, 0.0, log_ratio_one, log_ratio_zero)
         ratio = np.minimum(1.0, np.exp(log_lr))
         return float(ratio.sum()), float(np.square(ratio).sum())
 

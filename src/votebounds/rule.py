@@ -11,6 +11,12 @@ and decides 1 exactly when the score is >= 0, so an exact tie goes to 1.
 Boundary parameters would put infinities into the weights; instead they
 are clamped into [clamp_epsilon, 1 - clamp_epsilon] before the logs are
 taken. Interior parameters are never touched.
+
+One kernel, `_scores`, sums this for `score`, `decide_batch` and both
+Monte Carlo estimators, column by column in index order, so no caller
+can drift from the others on a tie. `decide_batch` checks a 2-D integer
+or bool batch of width n in one vectorized pass, any other form (bit
+strings, ragged lists) vector by vector.
 """
 
 from __future__ import annotations
@@ -61,27 +67,41 @@ class DecisionRule:
 
     def _check_bits(self, x) -> list[int]:
         try:
-            bits = [int(b) for b in x]
-        except (TypeError, ValueError):
+            votes = list(x)
+            bits = [int(b) for b in votes]
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"vote vector {x!r} is not a bit sequence") from None
         if len(bits) != self.n:
             raise ValidationError(
                 f"vote vector has length {len(bits)}, rule expects {self.n}"
             )
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
+        for i, (b, v) in enumerate(zip(votes, bits)):
+            if v not in (0, 1) or not (isinstance(b, str) or b == v):
                 raise ValidationError(f"vote {i} is {b}, expected 0 or 1")
         return bits
 
+    def _bit_rows(self, xs) -> np.ndarray:
+        try:
+            x = np.asarray(xs)
+        except ValueError:  # ragged nested lists
+            x = np.empty(0)
+        if (x.ndim == 2 and x.shape[1] == self.n and x.dtype.kind in "biu"
+                and np.all((x == 0) | (x == 1))):
+            return x != 0
+        rows = []
+        for idx, row in enumerate(xs):
+            try:
+                rows.append(self._check_bits(row))
+            except ValidationError as exc:
+                raise ValidationError(f"input {idx}: {exc}") from None
+        return np.array(rows, dtype=bool).reshape(len(rows), self.n)
+
+    def _score_rows(self, x: np.ndarray) -> np.ndarray:
+        return _scores(x, self.offset, self.vote_one_weights, self.vote_zero_weights)
+
     def score(self, x) -> float:
         """Log odds of label 1 given the votes. Summed in index order."""
-        bits = self._check_bits(x)
-        w1 = self.vote_one_weights
-        w0 = self.vote_zero_weights
-        s = self.offset
-        for i, b in enumerate(bits):
-            s += w1[i] if b else w0[i]
-        return s
+        return float(self._score_rows(np.array([self._check_bits(x)], dtype=bool))[0])
 
     def decide(self, x) -> int:
         """The label guess for one vote vector, ties resolved to 1."""
@@ -89,13 +109,19 @@ class DecisionRule:
 
     def decide_batch(self, xs) -> list[int]:
         """decide applied elementwise; identical inputs give identical outputs."""
-        out = []
-        for idx, x in enumerate(xs):
-            try:
-                out.append(self.decide(x))
-            except ValidationError as exc:
-                raise ValidationError(f"input {idx}: {exc}") from None
-        return out
+        return (self._score_rows(self._bit_rows(xs)) >= 0.0).astype(int).tolist()
+
+
+def _scores(x: np.ndarray, offset: float, w1: np.ndarray,
+            w0: np.ndarray) -> np.ndarray:
+    """offset + sum_i (w1[i] if x[r, i] else w0[i]) for each row r of bool x,
+    added column by column (a matmul or a reduction sums in another order)."""
+    s = np.full(x.shape[0], offset)
+    term = np.empty(x.shape[0])
+    for pair, col in zip(np.stack([w0, w1], axis=1), x.view(np.uint8).T):
+        pair.take(col, out=term, mode="clip")  # 0/1 need no bounds check
+        s += term
+    return s
 
 
 def build_rule(panel: ExpertPanel,

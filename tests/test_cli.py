@@ -123,6 +123,14 @@ class TestError:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["error"] - exact) <= 4.0 * payload["std_error"]
 
+    def test_mc_on_boundary_panel(self, tmp_path, capsys):
+        # psi_1 = 1 puts the sampling law on the boundary; exact error 0.1
+        path = write_panel(tmp_path, psi=[1.0, 0.7], eta=[0.8, 0.6])
+        assert main(["error", path, "--method", "mc", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["std_error"] > 0.0
+        assert abs(payload["error"] - 0.1) <= 5.0 * payload["std_error"]
+
     def test_trials_without_mc_is_usage_error(self, counterexample_path, capsys):
         assert main(["error", counterexample_path, "--trials", "1000"]) == 2
         assert "usage error" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from votebounds import (
     ValidationError,
     build_rule,
     estimate_min_mass,
+    fold_bias,
     min_mass,
     optimal_error,
     simulate_error,
@@ -139,12 +140,18 @@ class TestEstimateMinMass:
         est, se = estimate_min_mass(p, q, trials=1_000_000, seed=23)
         assert abs(est - exact) <= 4.0 * se
 
-    def test_boundary_sampling_law_rejected(self):
-        with pytest.raises(ValidationError):
-            estimate_min_mass(
-                ProductBernoulli([1.0, 0.5]), ProductBernoulli([0.5, 0.5]),
-                trials=100, seed=0,
-            )
+    def test_boundary_sampling_law_matches_min_mass(self):
+        # P at 0 and 1 is sampled deterministically; the last two
+        # coordinates have p_i == q_i on the boundary
+        pairs = [
+            ([1.0, 0.5], [0.5, 0.5]),
+            ([1.0, 0.0, 0.4, 1.0, 0.0], [0.6, 0.3, 0.8, 1.0, 0.0]),
+            ([0.6, 0.3, 0.8, 1.0, 0.0], [1.0, 0.0, 0.4, 1.0, 0.0]),
+        ]
+        for seed, (p, q) in enumerate(pairs):
+            P, Q = ProductBernoulli(p), ProductBernoulli(q)
+            est, se = estimate_min_mass(P, Q, trials=200_000, seed=seed)
+            assert abs(est - min_mass(P, Q)) <= 4.0 * se
 
     def test_boundary_reference_law_allowed(self):
         # Q may put zero mass on sampled outcomes; ratio clips to 0 there
@@ -186,3 +193,33 @@ class TestEstimatorAgreement:
         )
         assert abs(sim.empirical_error - exact) <= 4.0 * sim.std_error
         assert abs(0.5 * est - exact) <= 4.0 * (0.5 * se)
+
+
+def _pinned_panel():
+    n = 32
+    return ExpertPanel(
+        psi=[0.55 + 0.012 * i for i in range(n)],
+        eta=[0.9 - 0.011 * i for i in range(n)],
+        p_y=0.3,
+    )
+
+
+class TestRecordedStreams:
+    # Recorded with the per-estimator scoring loops that the shared kernel
+    # replaced. A change to the draws, the summation order or the block
+    # combination shows up here. 150_001 trials end on a partial block.
+    TRIALS = 150_001
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulate_error_is_bit_identical(self, workers):
+        res = simulate_error(_pinned_panel(), self.TRIALS, 2024, workers=workers)
+        assert res.empirical_error == 0.0016799888000746661
+        assert res.std_error == 0.0001057404134873463
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_estimate_min_mass_is_bit_identical(self, workers):
+        folded = fold_bias(_pinned_panel())
+        est, se = estimate_min_mass(folded.law_given_one(), folded.law_given_zero(),
+                                    self.TRIALS, 2024, workers=workers)
+        assert est == 0.003038672075987109
+        assert se == 0.00011365738271612083

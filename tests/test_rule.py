@@ -85,9 +85,17 @@ class TestScore:
             rule.score([1, 0])
 
     def test_rejects_non_bits(self):
+        # int() would truncate 0.7 to a 0 vote and 1.9 to a 1 vote
         rule = build_rule(interior_panel())
-        with pytest.raises(ValidationError):
-            rule.score([2])
+        for bad in ([2], [0.7], [1.9], [-1], ["2"], [math.nan], [math.inf]):
+            with pytest.raises(ValidationError):
+                rule.score(bad)
+
+    def test_accepts_values_equal_to_bits(self):
+        rule = build_rule(ExpertPanel(psi=[0.9, 0.6, 0.6], eta=[0.9, 0.6, 0.6]))
+        for x in ([True, False, False], [1.0, 0.0, 0.0], ["1", "0", "0"],
+                  np.array([1.0, 0.0, 0.0]), np.array([True, False, False])):
+            assert rule.score(x) == rule.score([1, 0, 0])
 
 
 class TestDecide:
@@ -114,9 +122,46 @@ class TestDecide:
         assert rule.decide([1, 0]) == 1
 
 
+def tie_panel():
+    # complementary pair: votes (1, 0) score log 2 + log 0.5 == 0.0 exactly
+    return ExpertPanel(psi=[0.5, 0.75], eta=[0.75, 0.5])
+
+
 class TestDecideBatch:
     def test_empty(self):
-        assert build_rule(interior_panel()).decide_batch([]) == []
+        rule = build_rule(ExpertPanel(psi=[0.9, 0.6], eta=[0.8, 0.7]))
+        assert rule.decide_batch([]) == []
+        assert rule.decide_batch(np.zeros((0, 2), dtype=np.uint8)) == []
+        assert rule.decide_batch(np.zeros((0, 2))) == []
+
+    def test_returns_python_ints(self):
+        rule = build_rule(interior_panel())
+        out = rule.decide_batch(np.array([[1], [0]], dtype=np.uint8))
+        assert out == [1, 0]
+        assert all(type(d) is int for d in out)
+
+    def test_exact_tie_decides_one_in_every_form(self):
+        rule = build_rule(tie_panel())
+        assert rule.score([1, 0]) == 0.0
+        xs = [[1, 0], [1, 0]]
+        assert rule.decide_batch(xs) == [1, 1]
+        assert rule.decide_batch(np.array(xs, dtype=bool)) == [1, 1]
+        assert rule.decide_batch(["10", "10"]) == [1, 1]
+
+    def test_forms_agree_with_per_vector_decide(self, rng):
+        panels = [tie_panel(), ExpertPanel(psi=[0.5, 0.75, 0.75, 0.5] * 2,
+                                           eta=[0.75, 0.5, 0.5, 0.75] * 2)]
+        panels += [oracles.random_panel(rng, int(rng.integers(1, 40)),
+                                        low=0.0, high=1.0,
+                                        p_y=float(rng.choice([0.5, 0.3])))
+                   for _ in range(20)]
+        for panel in panels:
+            rule = build_rule(panel)
+            x = rng.integers(0, 2, (300, panel.n))
+            expected = [rule.decide(row) for row in x.tolist()]
+            for xs in (x, x.astype(np.uint8), x.astype(bool), x.tolist(),
+                       ["".join(map(str, row)) for row in x.tolist()]):
+                assert rule.decide_batch(xs) == expected
 
     def test_repeated_input_is_deterministic(self):
         rule = build_rule(interior_panel())
@@ -132,6 +177,17 @@ class TestDecideBatch:
         rule = build_rule(interior_panel())
         with pytest.raises(ValidationError, match="input 1"):
             rule.decide_batch([[1], [1, 0]])
+        two = build_rule(ExpertPanel(psi=[0.9, 0.6], eta=[0.8, 0.7]))
+        cases = [
+            (np.array([[1, 0], [0, 1], [2, 0]]), "input 2: vote 0 is 2"),
+            ([[1, 0], [0, 1, 1], [1, 0]], "input 1: vote vector has length 3"),
+            (np.ones((3, 3), dtype=np.uint8), "input 0: vote vector has length 3"),
+            ([[1, 0], [1, 3], [5, 0]], "input 1: vote 1 is 3"),
+            (np.array([[1.0, 0.0], [0.7, 1.0]]), "input 1: vote 0 is 0.7"),
+        ]
+        for xs, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                two.decide_batch(xs)
 
 
 class TestSymmetricReduction:
