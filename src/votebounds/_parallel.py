@@ -7,7 +7,6 @@ the same answer no matter how many workers ran it.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .core import ValidationError
 
@@ -33,5 +32,9 @@ def map_ordered(fn, items, workers: int) -> list:
     """Apply fn to each item, returning results in input order."""
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here, so that importing the package loads neither
+    # concurrent.futures nor the logging module it pulls in
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))

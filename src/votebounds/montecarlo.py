@@ -9,11 +9,23 @@ construction rather than by distance in one long stream.
 Trials are sharded into fixed-size blocks. Each block reduces to either
 an integer mismatch count or a pair of partial float sums, and those are
 combined in block order, so the worker count never changes the result.
+
+A block is drawn _CHUNK_ROWS trials at a time into one reused buffer of
+uniforms, and each chunk is thresholded straight into the block's bool
+votes, kept column-major so that the scoring kernel reads contiguous
+columns. Consecutive draws continue the block's stream, so the votes are
+exactly those of one whole-block draw and every result is the same.
+Working memory per worker is O(_CHUNK_ROWS * n) floats plus the block's
+BLOCK_SIZE * n bool votes, an eighth of a whole-block float draw. Each
+block is still scored in one kernel call: scoring chunk by chunk would
+multiply the short numpy calls, between which threads contend for the
+interpreter lock.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +40,54 @@ BLOCK_SIZE = 1 << 16
 
 _MASK64 = (1 << 64) - 1
 
+# trials drawn and thresholded at a time; divides BLOCK_SIZE
+_CHUNK_ROWS = 1 << 10
+
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
     key = (block << 64) | (seed & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _draw_block(seed: int, block: int, m: int, given_one: np.ndarray,
+                given_zero: np.ndarray | None = None, p_y: float | None = None
+                ) -> tuple[np.ndarray | None, np.ndarray]:
+    """Draw the m trials of one block, _CHUNK_ROWS trials at a time.
+
+    Each trial is one row of uniforms u from the block's stream. With a
+    label prior p_y, column 0 draws the label (u < p_y) and vote i is 1
+    with probability given_one[i] if the label is 1, else given_zero[i];
+    without one, every column is a vote, 1 with probability given_one[i].
+    Consecutive random(out=...) calls continue the stream, so the chunks
+    hold exactly the draws of one whole-block call.
+
+    Returns the m bool labels (None without p_y) and the (m, n) bool votes
+    as a column-major view, so that _scores reads contiguous columns.
+    """
+    rows = min(_CHUNK_ROWS, m)
+    n = given_one.size
+    lead = 0 if p_y is None else 1
+    g = _block_generator(seed, block)
+    u = np.empty((rows, lead + n))
+    votes_t = np.empty((n, m), dtype=bool)
+    if p_y is None:
+        y = None
+    else:
+        y = np.empty(m, dtype=bool)
+        threshold = np.empty((n, rows))
+        # column 0 for label 0, column 1 for label 1
+        pairs = np.stack([given_zero, given_one], axis=1)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        k = hi - lo
+        g.random(out=u[:k])
+        if p_y is None:
+            np.less(u[:k].T, given_one[:, None], out=votes_t[:, lo:hi])
+        else:
+            np.less(u[:k, 0], p_y, out=y[lo:hi])
+            pairs.take(y[lo:hi].view(np.uint8), axis=1, out=threshold[:, :k], mode="clip")
+            np.less(u[:k, 1:].T, threshold[:, :k], out=votes_t[:, lo:hi])
+    return y, votes_t.T
 
 
 def _check_trials_seed(trials, seed) -> tuple[int, int]:
@@ -89,9 +145,7 @@ def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
 
     def block_count(b: int) -> int:
         m = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
-        u = _block_generator(seed, b).random((m, panel.n + 1))
-        y = u[:, 0] < panel.p_y
-        x = u[:, 1:] < np.where(y[:, None], panel.psi, vote_one_prob_given_zero)
+        y, x = _draw_block(seed, b, m, panel.psi, vote_one_prob_given_zero, panel.p_y)
         return int(np.count_nonzero((rule._score_rows(x) >= 0.0) != y))
 
     p_hat = sum(_parallel.map_ordered(block_count, range(n_blocks), w)) / trials
@@ -112,6 +166,11 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     boundary: outcomes with P(x) = 0 are never drawn, so their undefined
     log terms are never selected, and outcomes with Q(x) = 0 contribute
     ratio zero. Returns (estimate, std_error).
+
+    If some coordinate has disjoint supports, p_i and q_i being 0 and 1,
+    the overlap is exactly 0 and (0.0, 0.0) returns without sampling.
+    Otherwise the overlap is positive, and a sample whose ratios are all
+    zero still returns (0.0, 0.0) but warns with the rule-of-three bound.
     """
     if not isinstance(P, ProductBernoulli) or not isinstance(Q, ProductBernoulli):
         raise ValidationError("expected a pair of ProductBernoulli laws")
@@ -119,6 +178,8 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
         raise ValidationError(f"dimension mismatch: {P.n} vs {Q.n} coordinates")
     trials, seed = _check_trials_seed(trials, seed)
     w = _parallel.resolve_workers(workers)
+    if np.any(np.abs(P.p - Q.p) == 1.0):
+        return 0.0, 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio_one = np.log(Q.p) - np.log(P.p)
         log_ratio_zero = np.log(1.0 - Q.p) - np.log(1.0 - P.p)
@@ -127,7 +188,7 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
 
     def block_sums(b: int) -> tuple[float, float]:
         m = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
-        x = _block_generator(seed, b).random((m, P.n)) < P.p
+        _, x = _draw_block(seed, b, m, P.p)
         log_lr = _scores(x, 0.0, log_ratio_one, log_ratio_zero)
         ratio = np.minimum(1.0, np.exp(log_lr))
         return float(ratio.sum()), float(np.square(ratio).sum())
@@ -138,6 +199,12 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     for s1, s2 in partials:
         total += s1
         total_sq += s2
+    if total == 0.0:
+        warnings.warn(
+            f"all {trials} sampled ratios Q(x) / P(x) are 0, so the estimate and "
+            f"its std_error read 0; the overlap is positive and, at 95% "
+            f"confidence, below 3/trials = {3 / trials:.3g} (rule of three)",
+            UserWarning, stacklevel=2)
     estimate = total / trials
     variance = max(0.0, total_sq / trials - estimate * estimate)
     return estimate, math.sqrt(variance / trials)

@@ -3,6 +3,11 @@
 Everything here enumerates {0,1}^n with itertools and Python floats, on
 purpose: these values must not share code with the library kernels they
 check. Dimensions stay small enough that O(2^n) per call is fine.
+
+The exception is the pair of whole-block Monte Carlo estimators at the
+end. They keep the block bodies that drew each block in one array, and
+share the stream keying and the scoring kernel with the library on
+purpose: they pin how a block is drawn and reduced, not the statistics.
 """
 
 import itertools
@@ -107,3 +112,46 @@ def random_panel(rng, n, low=0.01, high=0.99, p_y=0.5, symmetric=False):
     psi = rng.uniform(low, high, n)
     eta = psi.copy() if symmetric else rng.uniform(low, high, n)
     return ExpertPanel(psi=psi, eta=eta, p_y=p_y)
+
+
+def whole_block_simulate_error(panel, trials, seed):
+    """simulate_error drawing each block as one (m, n + 1) array.
+
+    Returns (empirical_error, std_error).
+    """
+    from votebounds import build_rule
+    from votebounds.montecarlo import BLOCK_SIZE, _block_generator
+
+    rule = build_rule(panel)
+    vote_one_prob_given_zero = 1.0 - panel.eta
+    count = 0
+    for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        m = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
+        u = _block_generator(seed, b).random((m, panel.n + 1))
+        y = u[:, 0] < panel.p_y
+        x = u[:, 1:] < np.where(y[:, None], panel.psi, vote_one_prob_given_zero)
+        count += int(np.count_nonzero((rule._score_rows(x) >= 0.0) != y))
+    p_hat = count / trials
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
+
+
+def whole_block_estimate_min_mass(P, Q, trials, seed):
+    """estimate_min_mass drawing each block as one (m, n) array."""
+    from votebounds.montecarlo import BLOCK_SIZE, _block_generator
+    from votebounds.rule import _scores
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio_one = np.log(Q.p) - np.log(P.p)
+        log_ratio_zero = np.log(1.0 - Q.p) - np.log(1.0 - P.p)
+    total = 0.0
+    total_sq = 0.0
+    for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        m = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
+        x = _block_generator(seed, b).random((m, P.n)) < P.p
+        log_lr = _scores(x, 0.0, log_ratio_one, log_ratio_zero)
+        ratio = np.minimum(1.0, np.exp(log_lr))
+        total += float(ratio.sum())
+        total_sq += float(np.square(ratio).sum())
+    estimate = total / trials
+    variance = max(0.0, total_sq / trials - estimate * estimate)
+    return estimate, math.sqrt(variance / trials)

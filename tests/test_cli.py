@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +15,7 @@ from votebounds import (
     optimal_error,
     simulate_error,
 )
+import votebounds
 from votebounds.cli import main
 
 import oracles
@@ -130,6 +135,29 @@ class TestError:
         payload = json.loads(capsys.readouterr().out)
         assert payload["std_error"] > 0.0
         assert abs(payload["error"] - 0.1) <= 5.0 * payload["std_error"]
+
+    @pytest.mark.parametrize("psi, eta, warns", [
+        # overlap 1e-5, which 20000 draws never reach: a warning on stderr
+        ([0.99999, 0.5, 0.5], [1.0, 0.5, 0.5], True),
+        # disjoint supports on the first expert: overlap 0, nothing to warn
+        ([1.0, 0.5, 0.5], [1.0, 0.5, 0.5], False),
+    ])
+    def test_mc_zero_estimate_keeps_stdout_and_exit_code(self, tmp_path, capsys,
+                                                         psi, eta, warns):
+        path = write_panel(tmp_path, psi=psi, eta=eta)
+        args = ["error", path, "--method", "mc", "--trials", "20000", "--seed", "1"]
+        # stdout as sampling all 20000 draws gives it: the early return and
+        # the warning on stderr must not change it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == 0
+            assert capsys.readouterr().out == "0 (std_error 0)\n"
+            assert main(args + ["--format", "json"]) == 0
+            assert capsys.readouterr().out == (
+                '{"error": 0.0, "std_error": 0.0, "method": "mc", '
+                '"trials": 20000, "seed": 1, "n": 3}\n'
+            )
+        assert [w.category for w in caught] == [UserWarning] * (2 if warns else 0)
 
     def test_trials_without_mc_is_usage_error(self, counterexample_path, capsys):
         assert main(["error", counterexample_path, "--trials", "1000"]) == 2
@@ -277,3 +305,14 @@ class TestExitMatrix:
 
     def test_zero_threads_is_usage_error(self, counterexample_path):
         assert main(["error", counterexample_path, "--threads", "0"]) == 2
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # every CLI run pays for the package's imports; concurrent.futures
+    # (and the logging module it loads) is needed only to fan out
+    code = "import sys, votebounds; print('concurrent.futures' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(votebounds.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "False\n"

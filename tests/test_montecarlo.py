@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from votebounds import (
+    BLOCK_SIZE,
     ExpertPanel,
     ProductBernoulli,
     SimulationResult,
@@ -16,6 +19,7 @@ from votebounds import (
     optimal_error,
     simulate_error,
 )
+from votebounds import montecarlo
 
 import oracles
 
@@ -162,6 +166,34 @@ class TestEstimateMinMass:
         assert math.isfinite(est)
         assert abs(est - exact) <= 4.0 * se
 
+    @pytest.mark.parametrize("p_i, q_i", [(1.0, 0.0), (0.0, 1.0)])
+    def test_disjoint_supports_give_zero_without_sampling(self, p_i, q_i, monkeypatch):
+        P = ProductBernoulli([0.3, p_i, 0.5])
+        Q = ProductBernoulli([0.6, q_i, 0.5])
+        assert min_mass(P, Q) == 0.0
+        with pytest.raises(ValidationError):
+            estimate_min_mass(P, Q, trials=0, seed=0)
+
+        def no_draws(seed, block):
+            raise AssertionError("drew samples for a zero overlap")
+
+        monkeypatch.setattr(montecarlo, "_block_generator", no_draws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate_min_mass(P, Q, trials=1000, seed=0) == (0.0, 0.0)
+
+    def test_all_zero_sample_warns_with_rule_of_three(self):
+        # overlap 1e-5: 20000 draws from P never reach an outcome with Q(x) > 0
+        P = ProductBernoulli([0.99999, 0.5, 0.5])
+        Q = ProductBernoulli([0.0, 0.5, 0.5])
+        assert min_mass(P, Q) > 0.0
+        with pytest.warns(UserWarning, match=r"3/trials = 0\.00015 \(rule of three\)"):
+            assert estimate_min_mass(P, Q, trials=20_000, seed=1) == (0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, se = estimate_min_mass(P, Q, trials=400_000, seed=1)
+        assert est > 0.0 and se > 0.0
+
     def test_deterministic_across_worker_counts(self):
         p = ProductBernoulli([0.3, 0.6, 0.8])
         q = ProductBernoulli([0.5, 0.5, 0.2])
@@ -223,3 +255,59 @@ class TestRecordedStreams:
                                     self.TRIALS, 2024, workers=workers)
         assert est == 0.003038672075987109
         assert se == 0.00011365738271612083
+
+
+ROWS = montecarlo._CHUNK_ROWS
+
+
+def _chunk_panel(n, kind):
+    rng = np.random.default_rng(n)
+    psi = rng.uniform(0.55, 0.9, n)
+    eta = rng.uniform(0.55, 0.9, n)
+    p_y = 0.3 if kind == "biased" else 0.5
+    if kind == "boundary":
+        psi[0] = 1.0
+        psi[n // 2] = 0.0
+        if n > 2:
+            eta[-1] = 1.0  # law_given_zero at 0 there: some ratios are 0
+    return ExpertPanel(psi=psi, eta=eta, p_y=p_y)
+
+
+class TestChunkedBlocks:
+    # Blocks are drawn ROWS trials at a time; the results must equal those
+    # of drawing each block as one array, bit for bit.
+    @pytest.mark.filterwarnings("ignore:all 1 sampled ratios:UserWarning")
+    @pytest.mark.parametrize("kind", ["plain", "biased", "boundary"])
+    @pytest.mark.parametrize("trials", [1, ROWS - 1, ROWS, ROWS + 1, BLOCK_SIZE,
+                                        BLOCK_SIZE + 1, 3 * BLOCK_SIZE - 5])
+    @pytest.mark.parametrize("n", [1, 2, 31, 64])
+    def test_matches_whole_block_reference(self, n, trials, kind):
+        panel = _chunk_panel(n, kind)
+        folded = fold_bias(panel)
+        P, Q = folded.law_given_one(), folded.law_given_zero()
+        seed = 1000 * n + trials
+        sim_ref = oracles.whole_block_simulate_error(panel, trials, seed)
+        est_ref = oracles.whole_block_estimate_min_mass(P, Q, trials, seed)
+        for workers in (1, 2):
+            sim = simulate_error(panel, trials, seed, workers=workers)
+            assert (sim.empirical_error, sim.std_error) == sim_ref
+            assert estimate_min_mass(P, Q, trials, seed, workers=workers) == est_ref
+
+    @pytest.mark.parametrize("estimator", ["simulate_error", "estimate_min_mass"])
+    def test_peak_traced_memory_stays_small(self, estimator):
+        # drawing each block as one float array peaks at 68.6 MiB
+        # (simulate_error) and 36.1 MiB (estimate_min_mass) on these
+        # inputs; numpy reports its buffers to tracemalloc
+        panel = _chunk_panel(64, "plain")
+        P, Q = panel.law_given_one(), panel.law_given_zero()
+        runs = {
+            "simulate_error": lambda: simulate_error(panel, 1 << 17, 5, workers=1),
+            "estimate_min_mass": lambda: estimate_min_mass(P, Q, 1 << 17, 5, workers=1),
+        }
+        tracemalloc.start()
+        try:
+            runs[estimator]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
