@@ -99,9 +99,10 @@ def _cmd_validate(args) -> int:
 def _cmd_decide(args) -> int:
     panel = load_panel(args.panel)
     rule = build_rule(panel)
-    decision = rule.decide(args.x)
+    score = rule.score(args.x)
+    decision = 1 if score >= 0.0 else 0  # decide's tie rule
     if args.format == "json":
-        _emit_json({"decision": decision, "score": rule.score(args.x)})
+        _emit_json({"decision": decision, "score": score})
     else:
         print(decision)
     return 0

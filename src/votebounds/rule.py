@@ -14,9 +14,12 @@ taken. Interior parameters are never touched.
 
 One kernel, `_scores`, sums this for `score`, `decide_batch` and both
 Monte Carlo estimators, column by column in index order, so no caller
-can drift from the others on a tie. `decide_batch` checks a 2-D integer
-or bool batch of width n in one vectorized pass, any other form (bit
-strings, ragged lists) vector by vector.
+can drift from the others on a tie. `decide_batch` certifies the longest
+leading run of rows that numpy holds as a numeric (k, n) array with one
+vectorized 0/1 test; a list of int lists is read through `bytes`, not
+`np.asarray`. Only the rows from the first uncertified one on (the first
+bad row, or the first in a form numpy cannot hold, such as a bit string)
+are checked one by one.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ DEFAULT_CLAMP_EPSILON = 1e-12
 # largest clamp that still counts as a tie-breaking nudge rather than a
 # change of model
 _CLAMP_EPSILON_MAX = 1e-3
+
+# row types a batch's numeric leading run may hold
+_ROW_TYPES = {list, tuple, np.ndarray}
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,25 +82,62 @@ class DecisionRule:
                 f"vote vector has length {len(bits)}, rule expects {self.n}"
             )
         for i, (b, v) in enumerate(zip(votes, bits)):
-            if v not in (0, 1) or not (isinstance(b, str) or b == v):
+            # int() would also read " 1", "+1", "01" and other digits
+            if not (b in ("0", "1") if isinstance(b, str) else v in (0, 1) and b == v):
                 raise ValidationError(f"vote {i} is {b}, expected 0 or 1")
         return bits
 
     def _bit_rows(self, xs) -> np.ndarray:
-        try:
-            x = np.asarray(xs)
-        except ValueError:  # ragged nested lists
-            x = np.empty(0)
-        if (x.ndim == 2 and x.shape[1] == self.n and x.dtype.kind in "biu"
-                and np.all((x == 0) | (x == 1))):
-            return x != 0
+        """The (m, n) bool votes of a batch, or the first bad row's error.
+
+        The longest leading run of rows that numpy holds as a numeric
+        array is certified by one vectorized test; only the rows from the
+        first one it does not certify go through `_check_bits`, so the
+        error names the same row, in the same words, as a row-by-row check.
+        """
+        seq = isinstance(xs, (list, tuple))
+        head = self._leading_run(xs) if seq else _numeric(xs, self.n)
+        k = 0
+        if head is not None:
+            ok = (head == 0) | (head == 1)
+            k = len(head) if ok.all() else int(ok.all(axis=1).argmin())
+            if k == len(head) and (not seq or k == len(xs)):
+                return head != 0
+            if not (seq or isinstance(xs, np.ndarray)):
+                k = 0  # an array-like need not slice like its rows
         rows = []
-        for idx, row in enumerate(xs):
+        for idx, row in enumerate(xs[k:] if k else xs, k):
             try:
                 rows.append(self._check_bits(row))
             except ValidationError as exc:
                 raise ValidationError(f"input {idx}: {exc}") from None
-        return np.array(rows, dtype=bool).reshape(len(rows), self.n)
+        tail = np.array(rows, dtype=bool).reshape(len(rows), self.n)
+        return np.concatenate([head[:k] != 0, tail]) if k else tail
+
+    def _leading_run(self, rows) -> np.ndarray:
+        """The longest leading run of a row sequence that numpy holds as a
+        numeric (k, n) array; k may be 0."""
+        n = self.n
+        try:
+            fits = (set(map(type, rows)) <= _ROW_TYPES
+                    and set(map(len, rows)) <= {n})
+        except TypeError:  # a 0-d array row
+            fits = False
+        if not fits:
+            rows = rows[:next(i for i, r in enumerate(rows)
+                              if type(r) not in _ROW_TYPES
+                              or getattr(r, "ndim", 1) != 1 or len(r) != n)]
+        chunks = []
+        if set(map(type, rows)) <= {list}:  # bytes(5), bytes(ndarray) read no votes
+            try:
+                chunks.extend(map(bytes, rows))  # keeps the rows before an error
+                return np.frombuffer(b"".join(chunks), np.uint8).reshape(-1, n)
+            except (TypeError, ValueError):  # floats, strings, None, ints past 255
+                pass
+        x = _numeric(rows, n)
+        if x is None:
+            x = np.frombuffer(b"".join(chunks), np.uint8).reshape(-1, n)
+        return x
 
     def _score_rows(self, x: np.ndarray) -> np.ndarray:
         return _scores(x, self.offset, self.vote_one_weights, self.vote_zero_weights)
@@ -110,6 +153,15 @@ class DecisionRule:
     def decide_batch(self, xs) -> list[int]:
         """decide applied elementwise; identical inputs give identical outputs."""
         return (self._score_rows(self._bit_rows(xs)) >= 0.0).astype(int).tolist()
+
+
+def _numeric(xs, n: int):
+    """xs as a numeric (m, n) array, or None when numpy cannot hold it so."""
+    try:
+        x = np.asarray(xs)
+    except (TypeError, ValueError, OverflowError):  # ragged rows, say
+        return None
+    return x if x.ndim == 2 and x.shape[1] == n and x.dtype.kind in "biuf" else None
 
 
 def _scores(x: np.ndarray, offset: float, w1: np.ndarray,

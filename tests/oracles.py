@@ -4,10 +4,13 @@ Everything here enumerates {0,1}^n with itertools and Python floats, on
 purpose: these values must not share code with the library kernels they
 check. Dimensions stay small enough that O(2^n) per call is fine.
 
-The exception is the pair of whole-block Monte Carlo estimators at the
-end. They keep the block bodies that drew each block in one array, and
-share the stream keying and the scoring kernel with the library on
-purpose: they pin how a block is drawn and reduced, not the statistics.
+The exceptions are `per_row_bit_rows` and the pair of whole-block Monte
+Carlo estimators at the end. The first checks a batch of vote vectors
+one `_check_bits` call per row, the behaviour `decide_batch`'s vectorized
+check must reproduce. The others keep the block bodies that drew each
+block in one array, and share the stream keying and the scoring kernel
+with the library on purpose: they pin how a block is drawn and reduced,
+not the statistics.
 """
 
 import itertools
@@ -112,6 +115,23 @@ def random_panel(rng, n, low=0.01, high=0.99, p_y=0.5, symmetric=False):
     psi = rng.uniform(low, high, n)
     eta = psi.copy() if symmetric else rng.uniform(low, high, n)
     return ExpertPanel(psi=psi, eta=eta, p_y=p_y)
+
+
+def per_row_bit_rows(rule, xs):
+    """decide_batch's input check done one `_check_bits` call per row.
+
+    Returns the bit lists, or raises the first bad row's ValidationError
+    prefixed with `input {idx}: `.
+    """
+    from votebounds import ValidationError
+
+    rows = []
+    for idx, row in enumerate(xs):
+        try:
+            rows.append(rule._check_bits(row))
+        except ValidationError as exc:
+            raise ValidationError(f"input {idx}: {exc}") from None
+    return rows
 
 
 def whole_block_simulate_error(panel, trials, seed):

@@ -87,7 +87,8 @@ class TestScore:
     def test_rejects_non_bits(self):
         # int() would truncate 0.7 to a 0 vote and 1.9 to a 1 vote
         rule = build_rule(interior_panel())
-        for bad in ([2], [0.7], [1.9], [-1], ["2"], [math.nan], [math.inf]):
+        for bad in ([2], [0.7], [1.9], [-1], ["2"], [math.nan], [math.inf],
+                    [" 1"], ["+1"], ["01"], ["\u0661"]):
             with pytest.raises(ValidationError):
                 rule.score(bad)
 
@@ -188,6 +189,151 @@ class TestDecideBatch:
         for xs, message in cases:
             with pytest.raises(ValidationError, match=message):
                 two.decide_batch(xs)
+
+
+# one vote vector in each row form, from a Python list; a corrupted row
+# that is no longer a list passes through unchanged
+ROW_FORMS = {
+    "int list": list,
+    "bool/int64 list": lambda r: [(bool(v) if i % 2 else np.int64(v))
+                                  if type(v) is int and v in (0, 1) else v
+                                  for i, v in enumerate(r)],
+    "float list": lambda r: [float(v) if type(v) is int else v for v in r],
+    "tuple": tuple,
+    "ndarray": np.array,
+    "bit string": lambda r: "".join(map(str, r)),
+}
+
+
+def _rows(pick):
+    """A list batch whose row i takes the form pick(i, number of rows)."""
+    def build(rows):
+        return [ROW_FORMS[pick(i, len(rows))](r) if type(r) is list else r
+                for i, r in enumerate(rows)]
+    return build
+
+
+BATCH_FORMS = [
+    ("ndarray-b", lambda rows: np.array(rows, dtype=bool)),
+    ("ndarray-i", lambda rows: np.array(rows, dtype=np.int64)),
+    ("ndarray-u", lambda rows: np.array(rows, dtype=np.uint8)),
+    ("ndarray-f", lambda rows: np.array(rows, dtype=np.float64)),
+    ("generator", lambda rows: (list(r) if type(r) is list else r for r in rows)),
+] + [
+    (f"{name}s", _rows(lambda i, m, name=name: name)) for name in ROW_FORMS
+] + [
+    ("int then float lists", _rows(lambda i, m: "int list" if 2 * i < m else "float list")),
+    ("int lists then bit strings",
+     _rows(lambda i, m: "int list" if 2 * i < m else "bit string")),
+    ("cycled row forms", _rows(lambda i, m: list(ROW_FORMS)[i % len(ROW_FORMS)])),
+]
+
+# (name, corrupt): a change to one row; the ndarray forms take only
+# value corruptions their dtype holds exactly
+ROW_CORRUPTIONS = [
+    (repr(v), lambda row, v=v: row[:1] + [v] + row[2:])
+    for v in (2, -1, 256, 0.7, math.nan, math.inf, "2", None)
+] + [
+    ("short row", lambda row: row[:-1]),
+    ("long row", lambda row: row + [0]),
+    ("int row", lambda row: 1),
+    ("wrong-width ndarray", lambda row: np.zeros(len(row) + 1, dtype=np.uint8)),
+]
+NDARRAY_HOLDS = {"ndarray-b": (), "ndarray-i": ("2", "-1", "256"),
+                 "ndarray-u": ("2",),
+                 "ndarray-f": ("2", "-1", "256", "0.7", "nan", "inf")}
+
+
+def _outcome(fn):
+    try:
+        return "decisions", fn()
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+class TestBatchMatchesPerRowCheck:
+    def check(self, rule, make):
+        """decide_batch on a fresh make() gives the oracle's outcome."""
+        expected = _outcome(lambda: [rule.decide(bits) for bits in
+                                     oracles.per_row_bit_rows(rule, make())])
+        assert _outcome(lambda: rule.decide_batch(make())) == expected
+        return expected
+
+    def test_every_form_and_corruption(self, rng):
+        rule = build_rule(ExpertPanel(psi=[0.5, 0.75, 0.75, 0.5] * 2,
+                                      eta=[0.75, 0.5, 0.5, 0.75] * 2))
+        base = rng.integers(0, 2, (9, rule.n)).tolist()
+        outcomes = set()
+        for name, form in BATCH_FORMS:
+            assert self.check(rule, lambda: form(base))[0] == "decisions"
+            assert self.check(rule, lambda: form([]))[0] == "decisions"
+            for bad, corrupt in ROW_CORRUPTIONS:
+                if name in NDARRAY_HOLDS and bad not in NDARRAY_HOLDS[name]:
+                    continue
+                for at in (0, 4, 8):
+                    rows = [list(r) for r in base]
+                    rows[at] = corrupt(rows[at])
+                    kind, message = self.check(rule, lambda: form(rows))
+                    outcomes.add(kind)
+                    if kind == "error":
+                        assert message.startswith(f"input {at}: ")
+        assert outcomes == {"error"}
+
+    def test_wrong_width_ndarray_batch(self):
+        rule = build_rule(ExpertPanel(psi=[0.9, 0.6], eta=[0.8, 0.7]))
+        for dtype in (bool, np.int64, np.uint8, np.float64):
+            for shape in ((3, 3), (3, 1), (0, 3)):
+                self.check(rule, lambda: np.ones(shape, dtype=dtype))
+
+
+class TestBatchCheckCount:
+    """A 2-D numeric batch is certified in one pass: only its first
+    offending row goes through `_check_bits`."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        check_bits = DecisionRule._check_bits
+
+        def counted(self, x):
+            count[0] += 1
+            return check_bits(self, x)
+
+        monkeypatch.setattr(DecisionRule, "_check_bits", counted)
+        return count
+
+    @pytest.fixture
+    def rule(self, rng):
+        return build_rule(oracles.random_panel(rng, 64))
+
+    @pytest.fixture
+    def x(self, rng):
+        return rng.integers(0, 2, (4096, 64))
+
+    def test_legal_batches_make_no_row_calls(self, calls, rule, x):
+        expected = rule.decide_batch(x)
+        for form in (x.tolist(), x.astype(np.float64), x.astype(np.float64).tolist()):
+            assert rule.decide_batch(form) == expected
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("bad", [2, -1, 256, 0.7, math.nan])
+    def test_bad_value_makes_one_row_call(self, calls, rule, x, bad):
+        xs = x.tolist()
+        xs[4000][5] = bad
+        batch = x.astype(type(bad))
+        batch[4000, 5] = bad
+        for form in (batch, xs):
+            calls[0] = 0
+            with pytest.raises(ValidationError, match="^input 4000: "):
+                rule.decide_batch(form)
+            assert calls[0] <= 1
+
+    def test_short_row_makes_one_row_call(self, calls, rule, x):
+        xs = x.tolist()
+        xs[4000].pop()
+        with pytest.raises(ValidationError, match="^input 4000: vote vector has length 63"):
+            rule.decide_batch(xs)
+        assert calls[0] <= 1
 
 
 class TestSymmetricReduction:
