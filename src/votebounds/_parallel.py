@@ -8,24 +8,27 @@ from __future__ import annotations
 
 import os
 
-from .core import ValidationError
+from .core import ValidationError, _integer
 
 ENV_THREADS = "VOTEBOUNDS_THREADS"
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Pick a worker count: explicit argument, else env cap, else 1."""
-    if workers is None:
-        raw = os.environ.get(ENV_THREADS)
-        if raw is None:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValidationError(f"{ENV_THREADS}={raw!r} is not an integer") from None
-    if workers < 1:
-        raise ValidationError(f"worker count must be >= 1, got {workers}")
-    return workers
+    """Pick a worker count: explicit argument, else env cap, else 1.
+
+    An explicit count must be an int or numpy integer of at least 1; bools
+    and floats raise ValidationError, as does a bad environment value.
+    """
+    if workers is not None:
+        return _integer(workers, "workers")
+    raw = os.environ.get(ENV_THREADS)
+    if raw is None:
+        return 1
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValidationError(f"{ENV_THREADS}={raw!r} is not an integer") from None
+    return _integer(value, ENV_THREADS)
 
 
 def map_ordered(fn, items, workers: int) -> list:

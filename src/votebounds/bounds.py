@@ -34,9 +34,11 @@ from .core import (
     ExpertPanel,
     ProductBernoulli,
     ValidationError,
+    _check_panel,
+    _vector,
     fold_bias,
 )
-from .exact import DEFAULT_N_MAX, min_mass, optimal_error
+from .exact import DEFAULT_N_MAX, _check_pair, min_mass, optimal_error
 
 __all__ = [
     "BoundsReport",
@@ -59,7 +61,7 @@ SWEEP_KINDS = ("asym", "sym")
 
 
 def _require_folded(panel: ExpertPanel) -> None:
-    if panel.p_y != 0.5:
+    if _check_panel(panel).p_y != 0.5:
         raise ValidationError(
             f"bounds expect a folded panel with p_y = 0.5, got p_y = {panel.p_y}; "
             "apply fold_bias first"
@@ -75,13 +77,7 @@ def _symmetric_interior(panel: ExpertPanel) -> np.ndarray:
     _require_folded(panel)
     if not panel.symmetric:
         raise ValidationError("this bound requires psi = eta entrywise")
-    p = panel.psi
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        bad = int(np.flatnonzero((p <= 0.0) | (p >= 1.0))[0])
-        raise ValidationError(
-            f"this bound requires interior accuracies, entry {bad} is {p[bad]}"
-        )
-    return p
+    return _vector(panel.psi, "psi", "(0, 1)")
 
 
 def upper_bound(panel: ExpertPanel) -> float:
@@ -134,11 +130,7 @@ def committee_potential(p) -> float:
     log odds, one below has negative log odds, and the factors always
     share a sign.
     """
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("accuracies must form a nonempty 1-D sequence")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValidationError("accuracies must lie strictly inside (0, 1)")
+    arr = _vector(p, "p", "(0, 1)")
     return float(np.sum((arr - 0.5) * np.log(arr / (1.0 - arr))))
 
 
@@ -186,10 +178,7 @@ def hellinger_envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float
     lower one reflects that each factor of the affinity is at least
     1/sqrt(2) times its envelope.
     """
-    if not isinstance(P, ProductBernoulli) or not isinstance(Q, ProductBernoulli):
-        raise ValidationError("expected a pair of ProductBernoulli laws")
-    if P.n != Q.n:
-        raise ValidationError(f"dimension mismatch: {P.n} vs {Q.n} coordinates")
+    _check_pair(P, Q)
     d = P.p - Q.p
     factors = 1.0 - d * d
     if np.any(factors == 0.0):
@@ -347,15 +336,8 @@ def counterexample_sweep(kind: str, eps_grid) -> list[SweepRow]:
     """
     if kind not in SWEEP_KINDS:
         raise ValidationError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
-    eps_list = [float(e) for e in eps_grid]
-    if not eps_list:
-        raise ValidationError("eps grid must contain at least one value")
-    for e in eps_list:
-        if not math.isfinite(e) or not 0.0 < e < 1.0:
-            raise ValidationError(f"eps = {e!r} must lie strictly inside (0, 1)")
-
     rows = []
-    for e in eps_list:
+    for e in _vector(eps_grid, "eps", "(0, 1)").tolist():
         if kind == "asym":
             exact = min_mass(
                 ProductBernoulli(np.array([1.0, 0.0])),

@@ -37,8 +37,19 @@ class ValidationError(ValueError):
     """Raised when inputs fail a structural or range check."""
 
 
-def _prob_vector(values, name: str) -> np.ndarray:
-    """Coerce to a read-only 1-D float64 array of probabilities in [0, 1]."""
+def _inside(x, interval: str):
+    """Whether x lies in interval, written like "(0, 1]": a parenthesis
+    opens that end, a bracket closes it. Elementwise on arrays; NaN never
+    lies inside."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    above = x >= lo if interval[0] == "[" else x > lo
+    below = x <= hi if interval[-1] == "]" else x < hi
+    return above & below
+
+
+def _vector(values, name: str, interval: str = "[0, 1]") -> np.ndarray:
+    """Coerce to a read-only, nonempty 1-D float64 array with entries in
+    interval, written as for _inside; by default probabilities."""
     try:
         arr = np.asarray(values, dtype=np.float64).copy()
     except (TypeError, ValueError) as exc:
@@ -47,25 +58,33 @@ def _prob_vector(values, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} must contain at least one entry")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ValidationError(f"{name}[{bad}] is not finite")
-    outside = (arr < 0.0) | (arr > 1.0)
-    if np.any(outside):
-        bad = int(np.flatnonzero(outside)[0])
-        raise ValidationError(f"{name}[{bad}] = {arr[bad]} lies outside [0, 1]")
+    inside = _inside(arr, interval)
+    if not inside.all():
+        bad = int(inside.argmin())
+        raise ValidationError(f"{name}[{bad}] = {arr[bad]} lies outside {interval}")
     arr.setflags(write=False)
     return arr
 
 
-def _interior_scalar(value, name: str) -> float:
+def _scalar(value, name: str, interval: str = "(-inf, inf)") -> float:
+    """Coerce to a float in interval, written as for _inside."""
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
-    if not math.isfinite(x) or not 0.0 < x < 1.0:
-        raise ValidationError(f"{name} = {value!r} must lie strictly inside (0, 1)")
+    if not _inside(x, interval):
+        raise ValidationError(f"{name} = {value!r} must lie in {interval}")
     return x
+
+
+def _integer(value, name: str, least: int | None = 1) -> int:
+    """value as an int. It must be an int or numpy integer, not a bool, and
+    at least `least` unless that is None."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +98,7 @@ class ProductBernoulli:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _prob_vector(self.p, "p"))
+        object.__setattr__(self, "p", _vector(self.p, "p"))
 
     @property
     def n(self) -> int:
@@ -103,15 +122,15 @@ class ExpertPanel:
     p_y: float = 0.5
 
     def __post_init__(self):
-        psi = _prob_vector(self.psi, "psi")
-        eta = _prob_vector(self.eta, "eta")
+        psi = _vector(self.psi, "psi")
+        eta = _vector(self.eta, "eta")
         if psi.size != eta.size:
             raise ValidationError(
                 f"psi and eta must have equal length, got {psi.size} and {eta.size}"
             )
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "p_y", _interior_scalar(self.p_y, "p_y"))
+        object.__setattr__(self, "p_y", _scalar(self.p_y, "p_y", "(0, 1)"))
 
     @property
     def n(self) -> int:
@@ -135,6 +154,12 @@ class ExpertPanel:
         return ProductBernoulli(1.0 - self.eta)
 
 
+def _check_panel(panel) -> ExpertPanel:
+    if not isinstance(panel, ExpertPanel):
+        raise ValidationError(f"expected an ExpertPanel, got {type(panel).__name__}")
+    return panel
+
+
 @dataclass(frozen=True, eq=False)
 class BalancedAccuracy:
     """Per-expert balanced accuracies pi[i] = (psi[i] + eta[i]) / 2."""
@@ -142,11 +167,11 @@ class BalancedAccuracy:
     pi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pi", _prob_vector(self.pi, "pi"))
+        object.__setattr__(self, "pi", _vector(self.pi, "pi"))
 
     @classmethod
     def from_panel(cls, panel: ExpertPanel) -> "BalancedAccuracy":
-        return cls(0.5 * (panel.psi + panel.eta))
+        return cls(0.5 * (_check_panel(panel).psi + panel.eta))
 
 
 _PANEL_KEYS = frozenset({"psi", "eta", "p_y"})
@@ -175,7 +200,7 @@ def load_panel(path) -> ExpertPanel:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, TypeError) as exc:  # TypeError: a path of the wrong type
         raise ValidationError(f"cannot read panel file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"panel file {path} is not valid JSON: {exc}") from None
@@ -190,7 +215,7 @@ def fold_bias(panel: ExpertPanel) -> ExpertPanel:
     an unbiased label, so the optimal aggregation error is unchanged.
     Returns the panel itself when p_y is exactly 1/2.
     """
-    if panel.p_y == 0.5:
+    if _check_panel(panel).p_y == 0.5:
         return panel
     theta = panel.p_y
     return ExpertPanel(
@@ -207,12 +232,8 @@ def min_identity(u: float, v: float) -> float:
     in the exponent, which is what makes square-root-product bounds
     sharpen into exact minimum computations.
     """
-    for name, value in (("u", u), ("v", v)):
-        x = float(value)
-        if not math.isfinite(x) or x <= 0.0:
-            raise ValidationError(f"{name} = {value!r} must be finite and positive")
-    u = float(u)
-    v = float(v)
+    u = _scalar(u, "u", "(0, inf)")
+    v = _scalar(v, "v", "(0, inf)")
     return math.sqrt(u * v) * math.exp(-0.5 * abs(math.log(u / v)))
 
 
@@ -223,11 +244,7 @@ def balanced_min_inequality_gap(s: float, t: float) -> float:
     s + t = 1. The two-point average is where an asymmetric pair and its
     balanced surrogate meet.
     """
-    for name, value in (("s", s), ("t", t)):
-        x = float(value)
-        if not math.isfinite(x) or not 0.0 <= x <= 1.0:
-            raise ValidationError(f"{name} = {value!r} must lie in [0, 1]")
-    s = float(s)
-    t = float(t)
+    s = _scalar(s, "s", "[0, 1]")
+    t = _scalar(t, "t", "[0, 1]")
     u = 0.5 * (s + t)
     return (min(s, 1.0 - t) + min(t, 1.0 - s)) - 2.0 * min(u, 1.0 - u)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parallel
-from .core import ExpertPanel, ProductBernoulli, ValidationError, fold_bias
+from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer, _scalar, fold_bias
 
 __all__ = [
     "DEFAULT_N_MAX",
@@ -37,7 +37,11 @@ __all__ = [
 DEFAULT_N_MAX = 24
 
 # Up to this many coordinates a plain sum over the full mass tables beats
-# the sort of the meet-in-the-middle split.
+# the sort of the meet-in-the-middle split. Both are equally accurate (about
+# 3e-16 relative against an exact fractions sum, n <= 8), but on a 2-vCPU
+# Xeon (Python 3.11, numpy 2.4) at n = 2 the split takes about 106 us and the
+# whole table 45 us. Without this path the six n = 2 sweeps of acceptance
+# criterion 03 took 0.54-1.37 ms against its 1 ms gate and failed 2 of 5 runs.
 _WHOLE_TABLE_N_MAX = 12
 
 _NORM_ORDERS = (1.0, 2.0, math.inf)
@@ -84,7 +88,7 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli, n_max: int,
     sums are accumulated directly: total minus prefix cancels when the
     prefix holds nearly all the mass.
     """
-    n = _check_pair(P, Q, n_max)
+    n = _check_pair(P, Q, _integer(n_max, "n_max"))
     _parallel.resolve_workers(workers)
     if n <= _WHOLE_TABLE_N_MAX:
         tp, tq = _mass_table(P.p), _mass_table(Q.p)
@@ -219,12 +223,13 @@ def complement_symmetry_check(psi: ProductBernoulli, eta: ProductBernoulli,
     every coordinate is a measure-preserving bijection of the cube that
     swaps the two pairs, so the two values agree. Capped at n = 12.
     """
-    if float(r) not in _NORM_ORDERS:
+    order = _scalar(r, "norm order", "[1, inf]")
+    if order not in _NORM_ORDERS:
         raise ValidationError(f"norm order must be 1, 2 or inf, got {r!r}")
     _check_pair(psi, eta, _COMPLEMENT_N_MAX)
     direct = _mass_table(psi.p) - _mass_table(1.0 - eta.p)
     flipped = _mass_table(1.0 - psi.p) - _mass_table(eta.p)
-    return _norm(direct, float(r)), _norm(flipped, float(r))
+    return _norm(direct, order), _norm(flipped, order)
 
 
 def tensorization_gap(P: ProductBernoulli, P_alt: ProductBernoulli,
@@ -240,7 +245,7 @@ def tensorization_gap(P: ProductBernoulli, P_alt: ProductBernoulli,
     """
     _check_pair(P, P_alt)
     _check_pair(Q, Q_alt)
-    if P.n + Q.n > n_max:
+    if P.n + Q.n > _integer(n_max, "n_max"):
         raise EnumerationLimitError(
             f"joint dimension {P.n + Q.n} exceeds the enumeration cap {n_max}"
         )

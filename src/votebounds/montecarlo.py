@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parallel
-from .core import ExpertPanel, ProductBernoulli, ValidationError
+from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer
+from .exact import _check_pair
 from .rule import _scores, build_rule
 
 __all__ = ["BLOCK_SIZE", "SimulationResult", "simulate_error", "estimate_min_mass"]
@@ -91,13 +92,7 @@ def _draw_block(seed: int, block: int, m: int, given_one: np.ndarray,
 
 
 def _check_trials_seed(trials, seed) -> tuple[int, int]:
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool):
-        raise ValidationError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    return int(trials), int(seed) & _MASK64
+    return _integer(trials, "trials"), _integer(seed, "seed", None) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -172,10 +167,7 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     Otherwise the overlap is positive, and a sample whose ratios are all
     zero still returns (0.0, 0.0) but warns with the rule-of-three bound.
     """
-    if not isinstance(P, ProductBernoulli) or not isinstance(Q, ProductBernoulli):
-        raise ValidationError("expected a pair of ProductBernoulli laws")
-    if P.n != Q.n:
-        raise ValidationError(f"dimension mismatch: {P.n} vs {Q.n} coordinates")
+    _check_pair(P, Q)
     trials, seed = _check_trials_seed(trials, seed)
     w = _parallel.resolve_workers(workers)
     if np.any(np.abs(P.p - Q.p) == 1.0):

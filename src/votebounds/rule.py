@@ -29,15 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExpertPanel, ValidationError
+from .core import ExpertPanel, ValidationError, _check_panel, _scalar, _vector
 
 __all__ = ["DecisionRule", "build_rule", "DEFAULT_CLAMP_EPSILON"]
 
 DEFAULT_CLAMP_EPSILON = 1e-12
 
-# largest clamp that still counts as a tie-breaking nudge rather than a
+# clamps up to 1e-3 still count as a tie-breaking nudge rather than a
 # change of model
-_CLAMP_EPSILON_MAX = 1e-3
+_CLAMP_INTERVAL = "(0, 1e-3]"
 
 # row types a batch's numeric leading run may hold
 _ROW_TYPES = {list, tuple, np.ndarray}
@@ -53,19 +53,13 @@ class DecisionRule:
     clamp_epsilon: float
 
     def __post_init__(self):
-        w1 = np.asarray(self.vote_one_weights, dtype=np.float64).copy()
-        w0 = np.asarray(self.vote_zero_weights, dtype=np.float64).copy()
-        if w1.ndim != 1 or w0.ndim != 1 or w1.size != w0.size or w1.size == 0:
-            raise ValidationError("weight vectors must be 1-D, nonempty, equal length")
-        if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w0))):
-            raise ValidationError("weights must be finite; clamp the panel first")
-        if not math.isfinite(self.offset):
-            raise ValidationError(f"offset {self.offset!r} must be finite")
-        w1.setflags(write=False)
-        w0.setflags(write=False)
+        w1 = _vector(self.vote_one_weights, "vote_one_weights", "(-inf, inf)")
+        w0 = _vector(self.vote_zero_weights, "vote_zero_weights", "(-inf, inf)")
+        if w1.size != w0.size:
+            raise ValidationError(f"weight vectors have lengths {w1.size} and {w0.size}")
         object.__setattr__(self, "vote_one_weights", w1)
         object.__setattr__(self, "vote_zero_weights", w0)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", _scalar(self.offset, "offset"))
 
     @property
     def n(self) -> int:
@@ -105,8 +99,12 @@ class DecisionRule:
                 return head != 0
             if not (seq or isinstance(xs, np.ndarray)):
                 k = 0  # an array-like need not slice like its rows
+        try:
+            indexed = enumerate(xs[k:] if k else xs, k)
+        except TypeError:  # a number or a 0-d array, say
+            raise ValidationError(f"batch {xs!r} is not a sequence of rows") from None
         rows = []
-        for idx, row in enumerate(xs[k:] if k else xs, k):
+        for idx, row in indexed:
             try:
                 rows.append(self._check_bits(row))
             except ValidationError as exc:
@@ -116,7 +114,8 @@ class DecisionRule:
 
     def _leading_run(self, rows) -> np.ndarray:
         """The longest leading run of a row sequence that numpy holds as a
-        numeric (k, n) array; k may be 0."""
+        numeric (k, n) array; k may be 0. A run of int lists ends at a row
+        that `bytes` cannot read and that holds anything but 0s and 1s."""
         n = self.n
         try:
             fits = (set(map(type, rows)) <= _ROW_TYPES
@@ -131,10 +130,14 @@ class DecisionRule:
         if set(map(type, rows)) <= {list}:  # bytes(5), bytes(ndarray) read no votes
             try:
                 chunks.extend(map(bytes, rows))  # keeps the rows before an error
-                return np.frombuffer(b"".join(chunks), np.uint8).reshape(-1, n)
             except (TypeError, ValueError):  # floats, strings, None, ints past 255
-                pass
-        x = _numeric(rows, n)
+                try:
+                    floats = set(rows[len(chunks)]) <= {0, 1}  # 0.0 == 0
+                except TypeError:  # unhashable votes
+                    floats = False
+                if not floats:  # the per-row check rejects the row or reads strings
+                    rows = rows[:len(chunks)]
+        x = _numeric(rows, n) if len(chunks) < len(rows) else None
         if x is None:
             x = np.frombuffer(b"".join(chunks), np.uint8).reshape(-1, n)
         return x
@@ -186,12 +189,8 @@ def build_rule(panel: ExpertPanel,
     decisions the boundary parameters dictate on outcomes of positive
     probability.
     """
-    ce = float(clamp_epsilon)
-    if not math.isfinite(ce) or not 0.0 < ce <= _CLAMP_EPSILON_MAX:
-        raise ValidationError(
-            f"clamp_epsilon = {clamp_epsilon!r} must lie in (0, {_CLAMP_EPSILON_MAX}]"
-        )
-    psi = np.clip(panel.psi, ce, 1.0 - ce)
+    ce = _scalar(clamp_epsilon, "clamp_epsilon", _CLAMP_INTERVAL)
+    psi = np.clip(_check_panel(panel).psi, ce, 1.0 - ce)
     eta = np.clip(panel.eta, ce, 1.0 - ce)
     return DecisionRule(
         offset=math.log(panel.p_y / (1.0 - panel.p_y)),

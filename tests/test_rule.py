@@ -13,6 +13,7 @@ from votebounds import (
 )
 
 import oracles
+import votebounds.rule
 
 
 def interior_panel():
@@ -333,6 +334,24 @@ class TestBatchCheckCount:
         xs[4000].pop()
         with pytest.raises(ValidationError, match="^input 4000: vote vector has length 63"):
             rule.decide_batch(xs)
+        assert calls[0] <= 1
+
+    @pytest.mark.parametrize("bad", [-1, 256, 0.7, math.nan, "2", None])
+    def test_bad_list_row_skips_the_numpy_reading(self, monkeypatch, calls, rule, x, bad):
+        # the rows before the one `bytes` stopped at are certified as read
+        count = [0]
+        numeric = votebounds.rule._numeric
+
+        def counted(xs, n):
+            count[0] += 1
+            return numeric(xs, n)
+
+        monkeypatch.setattr(votebounds.rule, "_numeric", counted)
+        xs = x.tolist()
+        xs[4000][5] = bad
+        with pytest.raises(ValidationError, match="^input 4000: "):
+            rule.decide_batch(xs)
+        assert count[0] == 0
         assert calls[0] <= 1
 
 

@@ -1,0 +1,89 @@
+"""Every malformed argument to a public function raises ValidationError.
+
+Each row is a call that once escaped as a raw TypeError or ValueError,
+or was accepted: a float or bool worker count, say.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from votebounds import (
+    BalancedAccuracy,
+    DecisionRule,
+    ExpertPanel,
+    ProductBernoulli,
+    ValidationError,
+    balanced_min_inequality_gap,
+    build_rule,
+    committee_potential,
+    complement_symmetry_check,
+    counterexample_sweep,
+    fold_bias,
+    load_panel,
+    min_identity,
+    min_mass,
+    simulate_error,
+    tensorization_gap,
+    upper_bound,
+)
+from votebounds.core import _inside
+
+PANEL = ExpertPanel(psi=[0.9, 0.6], eta=[0.8, 0.7])
+P = ProductBernoulli([0.9, 0.6])
+Q = ProductBernoulli([0.2, 0.3])
+RULE = build_rule(PANEL)
+
+MALFORMED = {
+    "committee_potential-string": lambda: committee_potential("abc"),
+    "min_identity-string": lambda: min_identity("a", 1),
+    "balanced_gap-None": lambda: balanced_min_inequality_gap(None, 0.2),
+    "sweep-string-eps": lambda: counterexample_sweep("asym", ["x"]),
+    "sweep-scalar-eps": lambda: counterexample_sweep("asym", 0.1),
+    "build_rule-string-clamp": lambda: build_rule(PANEL, "x"),
+    "rule-string-offset": lambda: DecisionRule(
+        offset="x", vote_one_weights=[1.0], vote_zero_weights=[-1.0],
+        clamp_epsilon=1e-12),
+    "rule-string-weights": lambda: DecisionRule(
+        offset=0.0, vote_one_weights=["x"], vote_zero_weights=[-1.0],
+        clamp_epsilon=1e-12),
+    "load_panel-None": lambda: load_panel(None),
+    "fold_bias-not-a-panel": lambda: fold_bias("x"),
+    "upper_bound-not-a-panel": lambda: upper_bound({"psi": [0.9], "eta": [0.8]}),
+    "from_panel-not-a-panel": lambda: BalancedAccuracy.from_panel(None),
+    "build_rule-not-a-panel": lambda: build_rule([0.9, 0.8]),
+    "simulate-not-a-panel": lambda: simulate_error(None, 10, 0),
+    "min_mass-n_max-None": lambda: min_mass(P, Q, n_max=None),
+    "min_mass-n_max-string": lambda: min_mass(P, Q, n_max="x"),
+    "min_mass-n_max-bool": lambda: min_mass(P, Q, n_max=True),
+    "tensorization_gap-n_max-None": lambda: tensorization_gap(P, Q, P, Q, n_max=None),
+    "complement_check-string-order": lambda: complement_symmetry_check(P, Q, "x"),
+    "simulate-workers-float": lambda: simulate_error(PANEL, 10, 0, workers=1.5),
+    "simulate-workers-string": lambda: simulate_error(PANEL, 10, 0, workers="2"),
+    "simulate-workers-bool": lambda: simulate_error(PANEL, 10, 0, workers=True),
+    "min_mass-workers-float": lambda: min_mass(P, Q, workers=1.5),
+    "decide_batch-int": lambda: RULE.decide_batch(5),
+    "decide_batch-0d-array": lambda: RULE.decide_batch(np.array(1)),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_call_raises_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+POINTS = [0.0, 0.5, 1.0, -0.1, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("interval, inside", [
+    ("[0, 1]", [True, True, True, False, False, False]),
+    ("(0, 1)", [False, True, False, False, False, False]),
+    ("(0, 1]", [False, True, True, False, False, False]),
+    ("(-inf, inf)", [True, True, True, True, False, False]),
+    ("[1, inf]", [False, False, True, False, False, True]),
+])
+def test_interval_ends(interval, inside):
+    assert _inside(np.array(POINTS), interval).tolist() == inside
+    assert [_inside(x, interval) for x in POINTS] == inside
