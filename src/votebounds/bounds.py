@@ -246,8 +246,7 @@ class BoundsReport:
 
 
 def full_report(panel: ExpertPanel, *, with_exact: bool = False,
-                n_max: int = DEFAULT_N_MAX,
-                workers: int | None = None) -> BoundsReport:
+                n_max: int = DEFAULT_N_MAX) -> BoundsReport:
     """Evaluate all bounds that apply to a panel, folding the prior first.
 
     The report describes the folded panel, so n counts the extra expert
@@ -270,7 +269,7 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
     )
     exact = None
     if with_exact:
-        exact = optimal_error(folded, n_max=n_max, workers=workers)
+        exact = optimal_error(folded, n_max=n_max)
 
     return BoundsReport(
         n=folded.n,

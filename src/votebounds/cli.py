@@ -12,11 +12,10 @@ import argparse
 import json
 import sys
 
-from ._parallel import ENV_THREADS
 from .bounds import counterexample_sweep, full_report, hellinger_envelopes
 from .core import ProductBernoulli, ValidationError, fold_bias, load_panel
 from .exact import DEFAULT_N_MAX, EnumerationLimitError, affinity
-from .montecarlo import estimate_min_mass, simulate_error
+from .montecarlo import ENV_THREADS, estimate_min_mass, simulate_error
 from .rule import build_rule
 
 __all__ = ["main"]
@@ -137,7 +136,7 @@ def _cmd_error(args) -> int:
         )
     from .exact import optimal_error
 
-    value = optimal_error(folded, n_max=args.n_max, workers=args.threads)
+    value = optimal_error(folded, n_max=args.n_max)
     if args.format == "json":
         _emit_json({"error": value, "method": "exact", "n": folded.n})
     else:
@@ -147,9 +146,7 @@ def _cmd_error(args) -> int:
 
 def _cmd_bounds(args) -> int:
     panel = load_panel(args.panel)
-    report = full_report(
-        panel, with_exact=args.with_exact, n_max=args.n_max, workers=args.threads,
-    )
+    report = full_report(panel, with_exact=args.with_exact, n_max=args.n_max)
     payload = report.to_dict()
     if args.format == "json":
         _emit_json(payload)
@@ -161,7 +158,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_tv(args) -> int:
     P = ProductBernoulli(args.p)
     Q = ProductBernoulli(args.q)
-    result = affinity(P, Q, n_max=args.n_max, workers=args.threads)
+    result = affinity(P, Q, n_max=args.n_max)
     hell_lower, hell_upper = hellinger_envelopes(P, Q)
     payload = {
         "n": result.n,
@@ -213,7 +210,8 @@ def _add_format(sub) -> None:
 
 def _add_threads(sub) -> None:
     sub.add_argument("--threads", type=_positive_int, default=None, metavar="T",
-                     help=f"Monte Carlo worker cap, overrides {ENV_THREADS} (default 1)")
+                     help="Monte Carlo worker threads, used by simulate and by error "
+                          f"--method mc; overrides {ENV_THREADS} (default 1)")
 
 
 def _add_n_max(sub) -> None:
@@ -261,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--with-exact", action="store_true",
                      help="also run the exact enumeration")
     _add_n_max(sub)
-    _add_threads(sub)
     _add_format(sub)
     sub.set_defaults(handler=_cmd_bounds)
 
@@ -271,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--q", type=_csv_floats, required=True, metavar="Q1,Q2,...",
                      help="second law's coordinate probabilities")
     _add_n_max(sub)
-    _add_threads(sub)
     _add_format(sub)
     sub.set_defaults(handler=_cmd_tv)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -196,14 +197,19 @@ def validate_panel(raw: Mapping) -> ExpertPanel:
 
 
 def load_panel(path) -> ExpertPanel:
-    """Read a panel from a UTF-8 JSON file holding one panel object."""
+    """Read a panel from a UTF-8 JSON file holding one panel object.
+
+    path is a str, bytes or os.PathLike; an int is refused rather than
+    opened as a file descriptor."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValidationError(f"panel path must be a str, bytes or os.PathLike, got {path!r}")
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, TypeError) as exc:  # TypeError: a path of the wrong type
-        raise ValidationError(f"cannot read panel file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"panel file {path} is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise ValidationError(f"cannot read panel file {path}: {exc}") from None
     return validate_panel(raw)
 
 

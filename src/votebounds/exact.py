@@ -7,8 +7,8 @@ at n_max coordinates (24 by default); larger instances must go through
 the Monte Carlo estimators instead.
 
 Beyond small cubes the sums meet in the middle (Horowitz and Sahni,
-1974), in 2^(n/2) time and memory; see _overlap. Exact work is serial:
-the workers argument is validated, but only Monte Carlo uses it.
+1974), in 2^(n/2) time and memory; see _overlap. Exact work is serial
+and takes no worker count; only the Monte Carlo estimators run threads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _parallel
 from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer, _scalar, fold_bias
 
 __all__ = [
@@ -78,8 +77,8 @@ def _check_pair(P: ProductBernoulli, Q: ProductBernoulli,
     return P.n
 
 
-def _overlap(P: ProductBernoulli, Q: ProductBernoulli, n_max: int,
-             workers: int | None) -> tuple[float, float]:
+def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
+             n_max: int) -> tuple[float, float]:
     """(sum of min(P, Q), sum of |P - Q|) over the cube, accumulated apart.
 
     For halves A and B, P(a, b) <= Q(a, b) exactly when
@@ -89,7 +88,6 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli, n_max: int,
     prefix holds nearly all the mass.
     """
     n = _check_pair(P, Q, _integer(n_max, "n_max"))
-    _parallel.resolve_workers(workers)
     if n <= _WHOLE_TABLE_N_MAX:
         tp, tq = _mass_table(P.p), _mass_table(Q.p)
         return float(np.sum(np.minimum(tp, tq))), float(np.sum(np.abs(tp - tq)))
@@ -113,20 +111,20 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli, n_max: int,
 
 
 def min_mass(P: ProductBernoulli, Q: ProductBernoulli, *,
-             n_max: int = DEFAULT_N_MAX, workers: int | None = None) -> float:
+             n_max: int = DEFAULT_N_MAX) -> float:
     """Mass of the pointwise minimum, sum over x of min(P(x), Q(x)).
 
     Equals 1 exactly when P = Q and 1 minus the total variation distance
     in general. Half this quantity is the error of the best possible
     binary test between P and Q under a fair coin prior.
     """
-    return _overlap(P, Q, n_max, workers)[0]
+    return _overlap(P, Q, n_max)[0]
 
 
 def tv_distance(P: ProductBernoulli, Q: ProductBernoulli, *,
-                n_max: int = DEFAULT_N_MAX, workers: int | None = None) -> float:
+                n_max: int = DEFAULT_N_MAX) -> float:
     """Total variation distance, half the l1 distance between the laws."""
-    return 0.5 * _overlap(P, Q, n_max, workers)[1]
+    return 0.5 * _overlap(P, Q, n_max)[1]
 
 
 def bhattacharyya(P: ProductBernoulli, Q: ProductBernoulli) -> float:
@@ -177,17 +175,16 @@ class AffinityResult:
 
 
 def affinity(P: ProductBernoulli, Q: ProductBernoulli, *,
-             n_max: int = DEFAULT_N_MAX, workers: int | None = None) -> AffinityResult:
+             n_max: int = DEFAULT_N_MAX) -> AffinityResult:
     """Bundle min-mass, total variation and Bhattacharyya affinity."""
-    m, absdiff = _overlap(P, Q, n_max, workers)
+    m, absdiff = _overlap(P, Q, n_max)
     return AffinityResult(
         min_mass=m, tv=0.5 * absdiff, bhattacharyya=bhattacharyya(P, Q), n=P.n,
         method="enumeration",
     )
 
 
-def optimal_error(panel: ExpertPanel, *, n_max: int = DEFAULT_N_MAX,
-                  workers: int | None = None) -> float:
+def optimal_error(panel: ExpertPanel, *, n_max: int = DEFAULT_N_MAX) -> float:
     """Optimal aggregation error of the panel after bias folding.
 
     For an unbiased panel this is the error probability of the best
@@ -200,10 +197,7 @@ def optimal_error(panel: ExpertPanel, *, n_max: int = DEFAULT_N_MAX,
     symmetric panels and may exceed it for asymmetric ones.
     """
     folded = fold_bias(panel)
-    return 0.5 * min_mass(
-        folded.law_given_one(), folded.law_given_zero(),
-        n_max=n_max, workers=workers,
-    )
+    return 0.5 * min_mass(folded.law_given_one(), folded.law_given_zero(), n_max=n_max)
 
 
 def _norm(diff: np.ndarray, r: float) -> float:
@@ -234,8 +228,7 @@ def complement_symmetry_check(psi: ProductBernoulli, eta: ProductBernoulli,
 
 def tensorization_gap(P: ProductBernoulli, P_alt: ProductBernoulli,
                       Q: ProductBernoulli, Q_alt: ProductBernoulli, *,
-                      n_max: int = DEFAULT_N_MAX,
-                      workers: int | None = None) -> float:
+                      n_max: int = DEFAULT_N_MAX) -> float:
     """Super-multiplicativity slack of min-mass under products.
 
     min_mass(P x Q, P' x Q') - min_mass(P, P') * min_mass(Q, Q'), which is
@@ -252,8 +245,7 @@ def tensorization_gap(P: ProductBernoulli, P_alt: ProductBernoulli,
     joint = min_mass(
         ProductBernoulli(np.concatenate((P.p, Q.p))),
         ProductBernoulli(np.concatenate((P_alt.p, Q_alt.p))),
-        n_max=n_max, workers=workers,
+        n_max=n_max,
     )
-    split = min_mass(P, P_alt, n_max=n_max, workers=workers) * \
-        min_mass(Q, Q_alt, n_max=n_max, workers=workers)
+    split = min_mass(P, P_alt, n_max=n_max) * min_mass(Q, Q_alt, n_max=n_max)
     return joint - split

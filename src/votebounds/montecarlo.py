@@ -6,9 +6,12 @@ algorithm, so a (panel, trials, seed) triple produces the same stream on
 every platform, and distinct blocks get independent streams by
 construction rather than by distance in one long stream.
 
-Trials are sharded into fixed-size blocks. Each block reduces to either
-an integer mismatch count or a pair of partial float sums, and those are
-combined in block order, so the worker count never changes the result.
+Trials are sharded into fixed-size blocks, which _map_blocks fans out
+over worker threads. Each block reduces to either an integer mismatch
+count or a pair of partial float sums, and those are combined in block
+order, so the worker count never changes the result. The worker count is
+the workers argument, else the VOTEBOUNDS_THREADS environment variable,
+else 1; the two estimators here are the only code that reads either.
 
 A block is drawn _CHUNK_ROWS trials at a time into one reused buffer of
 uniforms, and each chunk is thresholded straight into the block's bool
@@ -25,12 +28,12 @@ interpreter lock.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _parallel
 from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer
 from .exact import _check_pair
 from .rule import _scores, build_rule
@@ -38,6 +41,8 @@ from .rule import _scores, build_rule
 __all__ = ["BLOCK_SIZE", "SimulationResult", "simulate_error", "estimate_min_mass"]
 
 BLOCK_SIZE = 1 << 16
+
+ENV_THREADS = "VOTEBOUNDS_THREADS"
 
 _MASK64 = (1 << 64) - 1
 
@@ -91,8 +96,37 @@ def _draw_block(seed: int, block: int, m: int, given_one: np.ndarray,
     return y, votes_t.T
 
 
-def _check_trials_seed(trials, seed) -> tuple[int, int]:
-    return _integer(trials, "trials"), _integer(seed, "seed", None) & _MASK64
+def _check_run(trials, seed, workers) -> tuple[int, int, int]:
+    """(trials, seed, workers) checked. Without an explicit worker count
+    ENV_THREADS gives it, else 1; bools and floats raise ValidationError,
+    as does a bad environment value."""
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed", None) & _MASK64
+    if workers is not None:
+        return trials, seed, _integer(workers, "workers")
+    raw = os.environ.get(ENV_THREADS, "1")
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValidationError(f"{ENV_THREADS}={raw!r} is not an integer") from None
+    return trials, seed, _integer(value, ENV_THREADS)
+
+
+def _map_blocks(block_fn, trials: int, workers: int) -> list:
+    """[block_fn(b, m) for each block b of m trials], in block order
+    whatever the number of worker threads."""
+    n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
+
+    def run(b: int):
+        return block_fn(b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE))
+
+    if workers == 1 or n_blocks == 1:
+        return [run(b) for b in range(n_blocks)]
+    # imported here, so that importing the package loads neither
+    # concurrent.futures nor the logging module it pulls in
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
+        return list(pool.map(run, range(n_blocks)))
 
 
 @dataclass(frozen=True)
@@ -132,18 +166,15 @@ def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
     from its conditional accuracy, applies the rule built from the panel
     and records whether the decision missed the label.
     """
-    trials, seed = _check_trials_seed(trials, seed)
-    w = _parallel.resolve_workers(workers)
+    trials, seed, workers = _check_run(trials, seed, workers)
     rule = build_rule(panel)
     vote_one_prob_given_zero = 1.0 - panel.eta
-    n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def block_count(b: int) -> int:
-        m = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
+    def block_count(b: int, m: int) -> int:
         y, x = _draw_block(seed, b, m, panel.psi, vote_one_prob_given_zero, panel.p_y)
         return int(np.count_nonzero((rule._score_rows(x) >= 0.0) != y))
 
-    p_hat = sum(_parallel.map_ordered(block_count, range(n_blocks), w)) / trials
+    p_hat = sum(_map_blocks(block_count, trials, workers)) / trials
     return SimulationResult(
         trials=trials,
         empirical_error=p_hat,
@@ -168,27 +199,22 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     zero still returns (0.0, 0.0) but warns with the rule-of-three bound.
     """
     _check_pair(P, Q)
-    trials, seed = _check_trials_seed(trials, seed)
-    w = _parallel.resolve_workers(workers)
+    trials, seed, workers = _check_run(trials, seed, workers)
     if np.any(np.abs(P.p - Q.p) == 1.0):
         return 0.0, 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio_one = np.log(Q.p) - np.log(P.p)
         log_ratio_zero = np.log(1.0 - Q.p) - np.log(1.0 - P.p)
 
-    n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-    def block_sums(b: int) -> tuple[float, float]:
-        m = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
+    def block_sums(b: int, m: int) -> tuple[float, float]:
         _, x = _draw_block(seed, b, m, P.p)
         log_lr = _scores(x, 0.0, log_ratio_one, log_ratio_zero)
         ratio = np.minimum(1.0, np.exp(log_lr))
         return float(ratio.sum()), float(np.square(ratio).sum())
 
-    partials = _parallel.map_ordered(block_sums, range(n_blocks), w)
     total = 0.0
     total_sq = 0.0
-    for s1, s2 in partials:
+    for s1, s2 in _map_blocks(block_sums, trials, workers):
         total += s1
         total_sq += s2
     if total == 0.0:

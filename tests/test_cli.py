@@ -307,6 +307,39 @@ class TestExitMatrix:
         assert main(["error", counterexample_path, "--threads", "0"]) == 2
 
 
+class TestThreadsVariable:
+    @pytest.mark.parametrize("raw", ["abc", "0", "1.5"])
+    def test_bad_value_fails_simulate(self, counterexample_path, monkeypatch, capsys, raw):
+        monkeypatch.setenv("VOTEBOUNDS_THREADS", raw)
+        argv = ["simulate", counterexample_path, "--trials", "1000", "--seed", "0"]
+        assert main(argv) == 1
+        assert "VOTEBOUNDS_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--kind", "sym", "--eps", "0.1"],
+        ["tv", "--p", "0.6,0.3", "--q", "0.4,0.5"],
+        ["error", "PANEL"],
+        ["bounds", "PANEL", "--with-exact"],
+    ], ids=["sweep", "tv", "error", "bounds"])
+    def test_exact_commands_never_read_it(self, counterexample_path, monkeypatch,
+                                          capsys, argv):
+        argv = [counterexample_path if a == "PANEL" else a for a in argv]
+        monkeypatch.delenv("VOTEBOUNDS_THREADS", raising=False)
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setenv("VOTEBOUNDS_THREADS", "abc")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["tv", "--p", "0.6", "--q", "0.4"],
+        ["bounds", "PANEL"],
+    ], ids=["tv", "bounds"])
+    def test_exact_commands_take_no_threads_flag(self, counterexample_path, argv):
+        argv = [counterexample_path if a == "PANEL" else a for a in argv]
+        assert main(argv + ["--threads", "2"]) == 2
+
+
 def test_import_leaves_thread_pool_unloaded():
     # every CLI run pays for the package's imports; concurrent.futures
     # (and the logging module it loads) is needed only to fan out

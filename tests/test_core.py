@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -138,6 +139,24 @@ class TestLoadPanel:
         path.write_text("{not json")
         with pytest.raises(ValidationError):
             load_panel(path)
+
+    def test_non_utf8_file_raises_validation_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ValidationError, match="cannot read panel file"):
+            load_panel(path)
+
+    def test_file_descriptor_is_refused_and_left_open(self, tmp_path):
+        # open() takes an int for a file descriptor, reads it and closes it
+        path = tmp_path / "panel.json"
+        path.write_text(json.dumps({"psi": [0.9], "eta": [0.8]}))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(ValidationError, match="os.PathLike"):
+                load_panel(fd)
+            os.fstat(fd)
+        finally:
+            os.close(fd)
 
 
 class TestFoldBias:

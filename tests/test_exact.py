@@ -115,12 +115,6 @@ class TestMinMass:
             )
             assert_allclose(shuffled, base, rtol=1e-12, atol=1e-15)
 
-    def test_worker_count_does_not_change_result(self, rng):
-        p, q = random_pair(rng, 11)
-        vals = [min_mass(p, q, workers=w) for w in (1, 2, 4)]
-        for v in vals[1:]:
-            assert_allclose(v, vals[0], rtol=1e-12)
-
 
 class TestTvDistance:
     def test_identical_measures(self):

@@ -1,7 +1,8 @@
 """Every malformed argument to a public function raises ValidationError.
 
 Each row is a call that once escaped as a raw TypeError or ValueError,
-or was accepted: a float or bool worker count, say.
+or was accepted: a float or bool worker count, or a bool panel path that
+open() takes for a file descriptor.
 """
 
 import math
@@ -20,6 +21,7 @@ from votebounds import (
     committee_potential,
     complement_symmetry_check,
     counterexample_sweep,
+    estimate_min_mass,
     fold_bias,
     load_panel,
     min_identity,
@@ -49,6 +51,8 @@ MALFORMED = {
         offset=0.0, vote_one_weights=["x"], vote_zero_weights=[-1.0],
         clamp_epsilon=1e-12),
     "load_panel-None": lambda: load_panel(None),
+    "load_panel-bool": lambda: load_panel(True),
+    "load_panel-nul-byte": lambda: load_panel("panel\0.json"),
     "fold_bias-not-a-panel": lambda: fold_bias("x"),
     "upper_bound-not-a-panel": lambda: upper_bound({"psi": [0.9], "eta": [0.8]}),
     "from_panel-not-a-panel": lambda: BalancedAccuracy.from_panel(None),
@@ -62,7 +66,7 @@ MALFORMED = {
     "simulate-workers-float": lambda: simulate_error(PANEL, 10, 0, workers=1.5),
     "simulate-workers-string": lambda: simulate_error(PANEL, 10, 0, workers="2"),
     "simulate-workers-bool": lambda: simulate_error(PANEL, 10, 0, workers=True),
-    "min_mass-workers-float": lambda: min_mass(P, Q, workers=1.5),
+    "estimate_min_mass-workers-float": lambda: estimate_min_mass(P, Q, 10, 0, workers=1.5),
     "decide_batch-int": lambda: RULE.decide_batch(5),
     "decide_batch-0d-array": lambda: RULE.decide_batch(np.array(1)),
 }
