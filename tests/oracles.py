@@ -2,7 +2,9 @@
 
 Everything here enumerates {0,1}^n with itertools and Python floats, on
 purpose: these values must not share code with the library kernels they
-check. Dimensions stay small enough that O(2^n) per call is fine.
+check. Dimensions stay small enough that O(2^n) per call is fine. The
+binomial oracles enumerate one-count vectors of duplicate expert types
+instead, which reaches the enumeration cap.
 
 The exceptions are `per_row_bit_rows` and the pair of whole-block Monte
 Carlo estimators at the end. The first checks a batch of vote vectors
@@ -47,6 +49,37 @@ def brute_tv(p, q):
 
 def brute_bhattacharyya(p, q):
     return float(np.sqrt(brute_masses(p) * brute_masses(q)).sum())
+
+
+def count_masses(m, p):
+    """Law of the vector of one-counts of expert types, one mass per vector.
+
+    Type t has m[t] coordinates of rate p[t]; the mass of counts
+    (k_1, ..., k_T) is prod_t comb(m_t, k_t) p_t^k_t (1 - p_t)^(m_t - k_t),
+    the total mass of the points of the cube with those counts. All of
+    those points have the same mass, so sums of min(P, Q) and |P - Q|
+    over the cube are the same sums over count vectors.
+    """
+    masses = []
+    for ks in itertools.product(*(range(mt + 1) for mt in m)):
+        mass = 1.0
+        for mt, pt, kt in zip(m, p, ks):
+            mass *= math.comb(mt, kt) * pt**kt * (1.0 - pt) ** (mt - kt)
+        masses.append(mass)
+    return masses
+
+
+def binomial_min_mass(m, p, q):
+    """sum over the cube of min(P, Q) for panels of duplicate expert types.
+
+    m[t] coordinates have rate p[t] under P and q[t] under Q.
+    """
+    return math.fsum(map(min, count_masses(m, p), count_masses(m, q)))
+
+
+def binomial_tv(m, p, q):
+    """Total variation for the same panels as binomial_min_mass."""
+    return 0.5 * math.fsum(abs(a - b) for a, b in zip(count_masses(m, p), count_masses(m, q)))
 
 
 def conditional_laws(panel):

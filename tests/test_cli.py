@@ -103,6 +103,18 @@ class TestError:
         assert main(["error", path]) == 1
         assert "--method mc" in capsys.readouterr().err
 
+    def test_cap_counts_experts_before_reduction(self, tmp_path, capsys):
+        # 25 identical experts would reduce to one 26-state factor; the
+        # cap still counts the 25 experts.
+        path = write_panel(tmp_path, psi=[0.7] * 25, eta=[0.8] * 25)
+        assert main(["error", path]) == 1
+        assert "--method mc" in capsys.readouterr().err
+        path = write_panel(tmp_path, psi=[0.7] * 24, eta=[0.8] * 24)
+        assert main(["error", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "exact"
+        assert payload["n"] == 24
+
     def test_mc_method_on_oversized_panel(self, tmp_path, capsys):
         path = write_panel(tmp_path, psi=[0.6] * 30, eta=[0.7] * 30)
         code = main([

@@ -116,6 +116,83 @@ class TestMinMass:
             assert_allclose(shuffled, base, rtol=1e-12, atol=1e-15)
 
 
+@st.composite
+def reducible_pairs(draw):
+    """Pairs past the whole-table cut that use every reduction rule.
+
+    Each pair holds a coordinate with one deterministic side, one with
+    p_i == q_i and one interior coordinate, repeated so that duplicates
+    occur; a fourth coordinate is interior or has both sides
+    deterministic, which makes the supports disjoint when they differ.
+    Interior rates lie on a grid of step 1/20, so two laws that differ
+    stay far enough apart for a relative comparison of tv.
+    """
+    rate = st.integers(1, 19).map(lambda k: k / 20)
+    end = st.sampled_from([0.0, 1.0])
+    kinds = [
+        draw(st.one_of(st.tuples(end, rate), st.tuples(rate, end))),
+        draw(rate.map(lambda v: (v, v))),
+        draw(st.tuples(rate, rate)),
+        draw(st.one_of(st.tuples(end, end), st.tuples(rate, rate))),
+    ]
+    n = draw(st.integers(13, 15))
+    extra = draw(st.lists(st.sampled_from(kinds), min_size=n - 4, max_size=n - 4))
+    p, q = zip(*draw(st.permutations(kinds + extra)))
+    return ProductBernoulli(p), ProductBernoulli(q)
+
+
+def duplicate_pair(rng, counts):
+    """Laws of a panel with len(counts) expert types, counts[t] experts of type t."""
+    p, q = rng.uniform(0.55, 0.95, len(counts)), rng.uniform(0.05, 0.45, len(counts))
+    pick = np.repeat(np.arange(len(counts)), counts)
+    rng.shuffle(pick)
+    return ProductBernoulli(p[pick]), ProductBernoulli(q[pick]), p, q
+
+
+class TestPanelReduction:
+    @given(reducible_pairs())
+    @settings(max_examples=15, deadline=None)
+    def test_split_path_matches_brute_enumeration(self, pair):
+        p, q = pair
+        for got, want in ((min_mass(p, q), oracles.brute_min_mass(p.p, q.p)),
+                          (tv_distance(p, q), oracles.brute_tv(p.p, q.p))):
+            if want == 0.0:
+                assert got == 0.0
+            else:
+                assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("counts", [[24], [8, 9, 7], [4, 3, 5, 4, 2, 6]])
+    def test_duplicate_types_match_binomial_oracle(self, rng, counts):
+        P, Q, p, q = duplicate_pair(rng, counts)
+        assert_allclose(min_mass(P, Q), oracles.binomial_min_mass(counts, p, q), rtol=1e-12)
+        assert_allclose(tv_distance(P, Q), oracles.binomial_tv(counts, p, q), rtol=1e-12)
+
+    def test_disjoint_coordinate_is_exact(self, rng):
+        p, q = rng.uniform(0.1, 0.9, 16), rng.uniform(0.1, 0.9, 16)
+        p[5], q[5] = 1.0, 0.0
+        P, Q = ProductBernoulli(p), ProductBernoulli(q)
+        assert min_mass(P, Q) == 0.0
+        assert tv_distance(P, Q) == 1.0
+
+    def test_uninformative_pair_is_exact(self, rng):
+        p = rng.uniform(0.05, 0.95, 20)
+        P, Q = ProductBernoulli(p), ProductBernoulli(p.copy())
+        assert min_mass(P, Q) == 1.0
+        assert tv_distance(P, Q) == 0.0
+
+    def test_cap_counts_coordinates_before_reduction(self):
+        # 25 identical experts reduce to one 26-state factor, but the cap
+        # bounds the folded panel size, not the reduced table.
+        over = ExpertPanel(psi=np.full(25, 0.7), eta=np.full(25, 0.8))
+        with pytest.raises(EnumerationLimitError):
+            min_mass(over.law_given_one(), over.law_given_zero())
+        with pytest.raises(EnumerationLimitError):
+            optimal_error(over)
+        at_cap = ExpertPanel(psi=np.full(24, 0.7), eta=np.full(24, 0.8))
+        want = oracles.binomial_min_mass([24], [0.7], [1.0 - 0.8])
+        assert_allclose(optimal_error(at_cap), 0.5 * want, rtol=1e-12)
+
+
 class TestTvDistance:
     def test_identical_measures(self):
         p = ProductBernoulli([0.3, 0.6])
