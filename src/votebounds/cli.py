@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when inputs fail validation or an instance
-is too large for the requested method, 2 on usage errors. Results go to
+is too large for the requested method, 2 on usage errors. An instance
+past the enumeration cap gets the cap message from exact followed by
+the remedy its subcommand accepts. Results go to
 stdout, every diagnostic goes to stderr. Machine-readable output (json,
 csv) carries 12 significant digits, human output 6.
 """
@@ -14,8 +16,8 @@ import sys
 
 from .bounds import counterexample_sweep, full_report, hellinger_envelopes
 from .core import ProductBernoulli, ValidationError, fold_bias, load_panel
-from .exact import DEFAULT_N_MAX, EnumerationLimitError, affinity
-from .montecarlo import ENV_THREADS, estimate_min_mass, simulate_error
+from .exact import DEFAULT_N_MAX, EnumerationLimitError, affinity, optimal_error
+from .montecarlo import estimate_min_mass, simulate_error
 from .rule import build_rule
 
 __all__ = ["main"]
@@ -110,7 +112,6 @@ def _cmd_decide(args) -> int:
 def _cmd_error(args) -> int:
     panel = load_panel(args.panel)
     folded = fold_bias(panel)
-    fits = folded.n <= args.n_max
     if args.method != "mc" and (args.trials is not None or args.seed is not None):
         raise _UsageError("--trials and --seed require --method mc")
     if args.method == "mc":
@@ -129,13 +130,6 @@ def _cmd_error(args) -> int:
         else:
             print(f"{_fmt(value, 6)} (std_error {_fmt(std_error, 6)})")
         return 0
-    if not fits:
-        raise EnumerationLimitError(
-            f"folded panel has n = {folded.n} > n_max = {args.n_max}; "
-            "pass --method mc to estimate instead"
-        )
-    from .exact import optimal_error
-
     value = optimal_error(folded, n_max=args.n_max)
     if args.format == "json":
         _emit_json({"error": value, "method": "exact", "n": folded.n})
@@ -209,9 +203,9 @@ def _add_format(sub) -> None:
 
 
 def _add_threads(sub) -> None:
-    sub.add_argument("--threads", type=_positive_int, default=None, metavar="T",
+    sub.add_argument("--threads", type=_positive_int, default=1, metavar="T",
                      help="Monte Carlo worker threads, used by simulate and by error "
-                          f"--method mc; overrides {ENV_THREADS} (default 1)")
+                          "--method mc (default 1)")
 
 
 def _add_n_max(sub) -> None:
@@ -242,9 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("error", help="error probability of the optimal rule")
     sub.add_argument("panel", help="path to a JSON panel file")
-    sub.add_argument("--method", choices=("exact", "mc"), default=None,
-                     help="force a method; default picks exact when the folded "
-                          "panel fits the enumeration cap")
+    sub.add_argument("--method", choices=("exact", "mc"), default="exact",
+                     help="exact enumeration, refused past the cap, or Monte Carlo "
+                          "(default exact)")
     sub.add_argument("--trials", type=_positive_int, default=None, metavar="N",
                      help="Monte Carlo trials (mc only, default 1000000)")
     sub.add_argument("--seed", type=int, default=None, metavar="S",
@@ -252,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_n_max(sub)
     _add_threads(sub)
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_error)
+    sub.set_defaults(handler=_cmd_error, remedy="pass --method mc to estimate instead")
 
     sub = commands.add_parser("bounds", help="evaluate every applicable bound")
     sub.add_argument("panel", help="path to a JSON panel file")
@@ -260,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also run the exact enumeration")
     _add_n_max(sub)
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_bounds)
+    sub.set_defaults(handler=_cmd_bounds, remedy="drop --with-exact or raise --n-max")
 
     sub = commands.add_parser("tv", help="distances between two product Bernoulli laws")
     sub.add_argument("--p", type=_csv_floats, required=True, metavar="P1,P2,...",
@@ -269,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="second law's coordinate probabilities")
     _add_n_max(sub)
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_tv)
+    sub.set_defaults(handler=_cmd_tv, remedy="raise --n-max")
 
     sub = commands.add_parser("sweep", help="trace the showcase panels over an eps grid (CSV)")
     sub.add_argument("--kind", choices=("asym", "sym"), required=True,
@@ -301,7 +295,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, EnumerationLimitError) as exc:
+    except EnumerationLimitError as exc:
+        print(f"error: {exc}; {args.remedy}", file=sys.stderr)
+        return 1
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,7 @@ for extreme parameters are acceptable in such sums. Exact work is capped
 at n_max coordinates (24 by default); larger instances must go through
 the Monte Carlo estimators instead.
 
-Up to 12 coordinates the sums run over the whole cube. Past that the
-pair is first reduced exactly (see _reduce):
+Every pair is first reduced exactly (see _reduce):
 - coordinates with p_i == q_i drop out;
 - m coordinates sharing one interior (p_i, q_i) pair become one
   (m + 1)-state binomial factor;
@@ -16,7 +15,8 @@ pair is first reduced exactly (see _reduce):
   straight into sum |P - Q|;
 - a coordinate where both laws are deterministic and differ means
   disjoint supports, and the result is exactly (0, 2).
-The remaining factors then meet in the middle (Horowitz and Sahni,
+When the product of the remaining factors has at most 2^12 points it is
+summed whole. Larger products meet in the middle (Horowitz and Sahni,
 1974): two halves of balanced table size, one sorted by log ratio and
 searched with the sorted thresholds of the other; see _overlap. Time
 and memory grow like the square root of the reduced table, so panels
@@ -51,11 +51,11 @@ __all__ = [
 
 DEFAULT_N_MAX = 24
 
-# Up to this many coordinates a plain sum over the full mass tables beats
-# the sort of the meet-in-the-middle split. Both are equally accurate (about
-# 3e-16 relative against an exact fractions sum, n <= 8), but on a 2-vCPU
-# Xeon (Python 3.11, numpy 2.4) at n = 2 the split takes about 106 us and the
-# whole table 45 us. Without this path the six n = 2 sweeps of acceptance
+# Up to 2**_WHOLE_TABLE_N_MAX points in the reduced table a plain sum over
+# it beats the sort of the meet-in-the-middle split. Both are equally
+# accurate (about 3e-16 relative against an exact fractions sum, n <= 8),
+# but on a 2-vCPU Xeon (Python 3.11, numpy 2.4) at n = 2 the split takes
+# about 106 us and the whole table 45 us. Without this path the six n = 2 sweeps of acceptance
 # criterion 03 took 0.54-1.37 ms against its 1 ms gate and failed 2 of 5 runs.
 _WHOLE_TABLE_N_MAX = 12
 
@@ -192,26 +192,23 @@ def _below_above(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_pair(P: ProductBernoulli, Q: ProductBernoulli,
-                n_max: float = math.inf) -> int:
+                n_max: float = math.inf) -> None:
     if not isinstance(P, ProductBernoulli) or not isinstance(Q, ProductBernoulli):
         raise ValidationError("expected a pair of ProductBernoulli laws")
     if P.n != Q.n:
         raise ValidationError(f"dimension mismatch: {P.n} vs {Q.n} coordinates")
     if P.n > n_max:
-        raise EnumerationLimitError(
-            f"n = {P.n} exceeds the enumeration cap n_max = {n_max}; "
-            "use the Monte Carlo estimators for panels this large"
-        )
-    return P.n
+        raise EnumerationLimitError(f"n = {P.n} exceeds the enumeration cap n_max = {n_max}")
 
 
 def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
              n_max: int) -> tuple[float, float]:
     """(sum of min(P, Q), sum of |P - Q|) over the cube, accumulated apart.
 
-    Past _WHOLE_TABLE_N_MAX coordinates the pair is reduced (see _reduce)
-    and its factors split into halves A and B. For a point (x, y) with x
-    in A and y in B, a P(x, y) <= b Q(x, y) exactly when
+    The pair is reduced first (see _reduce). A small reduced table is
+    summed whole; the factors of a larger one are split into halves A
+    and B. For a point (x, y) with x in A and y in B,
+    a P(x, y) <= b Q(x, y) exactly when
     log P_B(y) - log Q_B(y) <= log b Q_A(x) - log a P_A(x), so with B
     sorted by that ratio P is the minimum on a prefix and Q on the
     suffix. A is sorted by its threshold too, so the search runs on
@@ -220,14 +217,14 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
     touches for the first time costs a page fault, and blocks freed
     earlier in the call are reused without one.
     """
-    n = _check_pair(P, Q, _integer(n_max, "n_max"))
-    if n <= _WHOLE_TABLE_N_MAX:
-        tp, tq = _mass_table(_bernoulli(P.p, Q.p))
-        return float(np.sum(np.minimum(tp, tq))), float(np.sum(np.abs(tp - tq)))
+    _check_pair(P, Q, _integer(n_max, "n_max"))
     reduced = _reduce(P.p, Q.p)
     if reduced is None:
         return 0.0, 2.0
     factors, a, b, spill = reduced
+    if math.prod(f.shape[1] for f in factors) <= 1 << _WHOLE_TABLE_N_MAX:
+        tp, tq = _mass_table(factors, (a, b))
+        return float(np.sum(np.minimum(tp, tq))), spill + float(np.sum(np.abs(tp - tq)))
     half_a, half_b = _halves(factors)
     ratio_b, pb, qb = _sorted_by_log_ratio(_mass_table(half_b), 0)
     thresh_a, pa, qa = _sorted_by_log_ratio(_mass_table(half_a, (a, b)), 1)
@@ -376,10 +373,6 @@ def tensorization_gap(P: ProductBernoulli, P_alt: ProductBernoulli,
     """
     _check_pair(P, P_alt)
     _check_pair(Q, Q_alt)
-    if P.n + Q.n > _integer(n_max, "n_max"):
-        raise EnumerationLimitError(
-            f"joint dimension {P.n + Q.n} exceeds the enumeration cap {n_max}"
-        )
     joint = min_mass(
         ProductBernoulli(np.concatenate((P.p, Q.p))),
         ProductBernoulli(np.concatenate((P_alt.p, Q_alt.p))),

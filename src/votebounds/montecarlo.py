@@ -10,8 +10,8 @@ Trials are sharded into fixed-size blocks, which _map_blocks fans out
 over worker threads. Each block reduces to either an integer mismatch
 count or a pair of partial float sums, and those are combined in block
 order, so the worker count never changes the result. The worker count is
-the workers argument, else the VOTEBOUNDS_THREADS environment variable,
-else 1; the two estimators here are the only code that reads either.
+the workers argument, 1 by default; the two estimators here are the only
+code that takes one.
 
 A block is drawn _CHUNK_ROWS trials at a time into one reused buffer of
 uniforms, and each chunk is thresholded straight into the block's bool
@@ -28,7 +28,6 @@ interpreter lock.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -41,8 +40,6 @@ from .rule import _scores, build_rule
 __all__ = ["BLOCK_SIZE", "SimulationResult", "simulate_error", "estimate_min_mass"]
 
 BLOCK_SIZE = 1 << 16
-
-ENV_THREADS = "VOTEBOUNDS_THREADS"
 
 _MASK64 = (1 << 64) - 1
 
@@ -97,18 +94,9 @@ def _draw_block(seed: int, block: int, m: int, given_one: np.ndarray,
 
 
 def _check_run(trials, seed, workers) -> tuple[int, int, int]:
-    """(trials, seed, workers) checked. Without an explicit worker count
-    ENV_THREADS gives it, else 1; bools and floats raise ValidationError,
-    as does a bad environment value."""
-    trials, seed = _integer(trials, "trials"), _integer(seed, "seed", None) & _MASK64
-    if workers is not None:
-        return trials, seed, _integer(workers, "workers")
-    raw = os.environ.get(ENV_THREADS, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"{ENV_THREADS}={raw!r} is not an integer") from None
-    return trials, seed, _integer(value, ENV_THREADS)
+    """(trials, seed, workers) checked; bools and floats raise ValidationError."""
+    return (_integer(trials, "trials"), _integer(seed, "seed", None) & _MASK64,
+            _integer(workers, "workers"))
 
 
 def _map_blocks(block_fn, trials: int, workers: int) -> list:
@@ -159,7 +147,7 @@ class SimulationResult:
 
 
 def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
-                   workers: int | None = None) -> SimulationResult:
+                   workers: int = 1) -> SimulationResult:
     """Simulate the generative process and score the optimal rule on it.
 
     Each trial draws a label from the prior, draws every expert's vote
@@ -184,7 +172,7 @@ def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
 
 
 def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
-                      seed: int, *, workers: int | None = None) -> tuple[float, float]:
+                      seed: int, *, workers: int = 1) -> tuple[float, float]:
     """Unbiased estimate of the minimum-mass overlap of two product laws.
 
     Samples x from P and averages min(1, Q(x) / P(x)); the expectation is

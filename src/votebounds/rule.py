@@ -9,8 +9,9 @@ that vote under the two labels and adds the prior log odds:
 
 and decides 1 exactly when the score is >= 0, so an exact tie goes to 1.
 Boundary parameters would put infinities into the weights; instead they
-are clamped into [clamp_epsilon, 1 - clamp_epsilon] before the logs are
-taken. Interior parameters are never touched.
+are clamped into [DEFAULT_CLAMP_EPSILON, 1 - DEFAULT_CLAMP_EPSILON]
+before the logs are taken, so the weights are large but finite.
+Parameters inside that interval are never touched.
 
 One kernel, `_scores`, sums this for `score`, `decide_batch` and both
 Monte Carlo estimators, column by column in index order, so no caller
@@ -35,10 +36,6 @@ __all__ = ["DecisionRule", "build_rule", "DEFAULT_CLAMP_EPSILON"]
 
 DEFAULT_CLAMP_EPSILON = 1e-12
 
-# clamps up to 1e-3 still count as a tie-breaking nudge rather than a
-# change of model
-_CLAMP_INTERVAL = "(0, 1e-3]"
-
 # row types a batch's numeric leading run may hold
 _ROW_TYPES = {list, tuple, np.ndarray}
 
@@ -50,7 +47,6 @@ class DecisionRule:
     offset: float
     vote_one_weights: np.ndarray
     vote_zero_weights: np.ndarray
-    clamp_epsilon: float
 
     def __post_init__(self):
         w1 = _vector(self.vote_one_weights, "vote_one_weights", "(-inf, inf)")
@@ -179,22 +175,13 @@ def _scores(x: np.ndarray, offset: float, w1: np.ndarray,
     return s
 
 
-def build_rule(panel: ExpertPanel,
-               clamp_epsilon: float = DEFAULT_CLAMP_EPSILON) -> DecisionRule:
-    """Compile a panel into its optimal decision rule.
-
-    clamp_epsilon must lie in (0, 1e-3]. It only affects experts whose
-    sensitivity or specificity sits within clamp_epsilon of 0 or 1; for
-    such experts the weights become large but finite, preserving the
-    decisions the boundary parameters dictate on outcomes of positive
-    probability.
-    """
-    ce = _scalar(clamp_epsilon, "clamp_epsilon", _CLAMP_INTERVAL)
-    psi = np.clip(_check_panel(panel).psi, ce, 1.0 - ce)
-    eta = np.clip(panel.eta, ce, 1.0 - ce)
+def build_rule(panel: ExpertPanel) -> DecisionRule:
+    """Compile a panel into its optimal decision rule."""
+    lo, hi = DEFAULT_CLAMP_EPSILON, 1.0 - DEFAULT_CLAMP_EPSILON
+    psi = np.clip(_check_panel(panel).psi, lo, hi)
+    eta = np.clip(panel.eta, lo, hi)
     return DecisionRule(
         offset=math.log(panel.p_y / (1.0 - panel.p_y)),
         vote_one_weights=np.log(psi / (1.0 - eta)),
         vote_zero_weights=np.log((1.0 - psi) / eta),
-        clamp_epsilon=ce,
     )

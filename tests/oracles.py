@@ -1,10 +1,12 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here enumerates {0,1}^n with itertools and Python floats, on
-purpose: these values must not share code with the library kernels they
-check. Dimensions stay small enough that O(2^n) per call is fine. The
-binomial oracles enumerate one-count vectors of duplicate expert types
-instead, which reaches the enumeration cap.
+Everything here enumerates {0,1}^n outcome by outcome, with itertools
+or one numpy bit matrix, on purpose: these values must not share code
+with the library kernels they check. `brute_masses` multiplies each
+outcome's coordinate factors in index order, as `product_mass` does, so
+the two agree bit for bit. Dimensions stay small enough that O(n 2^n)
+per call is fine. The binomial oracles enumerate one-count vectors of
+duplicate expert types instead, which reaches the enumeration cap.
 
 The exceptions are `per_row_bit_rows` and the pair of whole-block Monte
 Carlo estimators at the end. The first checks a batch of vote vectors
@@ -36,7 +38,10 @@ def product_mass(p, bits):
 
 def brute_masses(p):
     """Outcome masses over all of {0,1}^n, aligned with outcomes(n)."""
-    return np.array([product_mass(p, bits) for bits in outcomes(len(p))])
+    p = np.asarray(p, dtype=float)
+    n = p.size
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return np.where(bits, p, 1.0 - p).prod(axis=1)
 
 
 def brute_min_mass(p, q):

@@ -318,14 +318,42 @@ class TestExitMatrix:
     def test_zero_threads_is_usage_error(self, counterexample_path):
         assert main(["error", counterexample_path, "--threads", "0"]) == 2
 
+    @pytest.mark.parametrize("argv, remedy, fixed", [
+        (["error", "PANEL"], "--method mc", ["--method", "mc", "--trials", "1000"]),
+        (["bounds", "PANEL", "--with-exact"], "--with-exact", None),
+        (["tv", "--p", "0.6,0.3", "--q", "0.4,0.5"], "--n-max", ["--n-max", "2"]),
+    ], ids=["error", "bounds", "tv"])
+    def test_over_cap_message_names_a_remedy_that_runs(self, counterexample_path, capsys,
+                                                       argv, remedy, fixed):
+        argv = [counterexample_path if a == "PANEL" else a for a in argv]
+        assert main(argv + ["--n-max", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "exceeds the enumeration cap n_max = 1" in err
+        assert remedy in err
+        # the remedy as the message gives it: mc, no --with-exact, a higher cap
+        retry = argv + ["--n-max", "1"] + fixed if fixed else argv[:-1] + ["--n-max", "1"]
+        assert main(retry) == 0
+
 
 class TestThreadsVariable:
-    @pytest.mark.parametrize("raw", ["abc", "0", "1.5"])
-    def test_bad_value_fails_simulate(self, counterexample_path, monkeypatch, capsys, raw):
-        monkeypatch.setenv("VOTEBOUNDS_THREADS", raw)
-        argv = ["simulate", counterexample_path, "--trials", "1000", "--seed", "0"]
-        assert main(argv) == 1
-        assert "VOTEBOUNDS_THREADS" in capsys.readouterr().err
+    # only --threads sets the worker count; no command reads the variable
+    @staticmethod
+    def _check_ignored(argv, path, monkeypatch, capsys):
+        argv = [path if a == "PANEL" else a for a in argv]
+        monkeypatch.delenv("VOTEBOUNDS_THREADS", raising=False)
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setenv("VOTEBOUNDS_THREADS", "abc")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "PANEL", "--trials", "1000", "--seed", "0"],
+        ["error", "PANEL", "--method", "mc", "--trials", "1000", "--seed", "0"],
+    ], ids=["simulate", "error-mc"])
+    def test_monte_carlo_commands_never_read_it(self, counterexample_path, monkeypatch,
+                                                capsys, argv):
+        self._check_ignored(argv, counterexample_path, monkeypatch, capsys)
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--kind", "sym", "--eps", "0.1"],
@@ -335,13 +363,7 @@ class TestThreadsVariable:
     ], ids=["sweep", "tv", "error", "bounds"])
     def test_exact_commands_never_read_it(self, counterexample_path, monkeypatch,
                                           capsys, argv):
-        argv = [counterexample_path if a == "PANEL" else a for a in argv]
-        monkeypatch.delenv("VOTEBOUNDS_THREADS", raising=False)
-        assert main(argv) == 0
-        expected = capsys.readouterr().out
-        monkeypatch.setenv("VOTEBOUNDS_THREADS", "abc")
-        assert main(argv) == 0
-        assert capsys.readouterr().out == expected
+        self._check_ignored(argv, counterexample_path, monkeypatch, capsys)
 
     @pytest.mark.parametrize("argv", [
         ["tv", "--p", "0.6", "--q", "0.4"],

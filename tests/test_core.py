@@ -31,6 +31,14 @@ class TestProductBernoulli:
             assert law.n == n
             assert_allclose(oracles.brute_masses(law.p).sum(), 1.0, atol=1e-12)
 
+    def test_oracle_bit_matrix_matches_per_outcome_products(self, rng):
+        # brute_masses is the vectorized form of product_mass, bit for bit
+        for n in range(0, 13):
+            p = rng.uniform(0.0, 1.0, n)
+            p[rng.random(n) < 0.2] = 1.0
+            want = [oracles.product_mass(p.tolist(), bits) for bits in oracles.outcomes(n)]
+            assert oracles.brute_masses(p).tolist() == want
+
     def test_complement_flips_every_coordinate(self):
         law = ProductBernoulli([0.2, 0.9, 1.0])
         assert_allclose(np.asarray(law.complement().p), [0.8, 0.1, 0.0])

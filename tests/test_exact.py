@@ -151,7 +151,7 @@ def duplicate_pair(rng, counts):
 
 class TestPanelReduction:
     @given(reducible_pairs())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_split_path_matches_brute_enumeration(self, pair):
         p, q = pair
         for got, want in ((min_mass(p, q), oracles.brute_min_mass(p.p, q.p)),
@@ -179,6 +179,19 @@ class TestPanelReduction:
         P, Q = ProductBernoulli(p), ProductBernoulli(p.copy())
         assert min_mass(P, Q) == 1.0
         assert tv_distance(P, Q) == 0.0
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_whole_table_sizes_are_exact(self, rng, n):
+        # the reduction runs in front of the whole-table sum too
+        p, q = rng.uniform(0.1, 0.9, n), rng.uniform(0.1, 0.9, n)
+        i = int(rng.integers(n))
+        p[i], q[i] = 1.0, 0.0
+        P, Q = ProductBernoulli(p), ProductBernoulli(q)
+        assert tv_distance(P, Q) == 1.0
+        assert min_mass(P, Q) == 0.0
+        R = ProductBernoulli(rng.uniform(0.05, 0.95, n))
+        assert min_mass(R, R) == 1.0
+        assert tv_distance(R, R) == 0.0
 
     def test_cap_counts_coordinates_before_reduction(self):
         # 25 identical experts reduce to one 26-state factor, but the cap

@@ -202,7 +202,7 @@ class TestEstimateMinMass:
         assert a == b
 
 
-class TestThreadsVariable:
+class TestWorkerCount:
     # three blocks, so that two workers do fan out
     TRIALS = 3 * BLOCK_SIZE - 5
     PANEL = ExpertPanel(psi=[0.7, 0.6, 0.9], eta=[0.8, 0.55, 0.6])
@@ -212,7 +212,7 @@ class TestThreadsVariable:
         return (simulate_error(self.PANEL, self.TRIALS, 7, **kwargs),
                 estimate_min_mass(P, Q, self.TRIALS, 7, **kwargs))
 
-    def test_variable_sets_the_worker_count(self, monkeypatch):
+    def test_workers_set_the_pool_size(self, monkeypatch):
         import concurrent.futures
 
         pool_sizes = []
@@ -222,28 +222,11 @@ class TestThreadsVariable:
                 pool_sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.delenv(montecarlo.ENV_THREADS, raising=False)
-        serial = self._both(workers=1)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setenv(montecarlo.ENV_THREADS, "2")
-        assert self._both() == serial
-        assert pool_sizes == [2, 2]
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "1.5"])
-    def test_bad_value_raises_naming_the_variable(self, monkeypatch, raw):
-        monkeypatch.setenv(montecarlo.ENV_THREADS, raw)
-        P, Q = self.PANEL.law_given_one(), self.PANEL.law_given_zero()
-        with pytest.raises(ValidationError, match=montecarlo.ENV_THREADS):
-            simulate_error(self.PANEL, 10, 0)
-        with pytest.raises(ValidationError, match=montecarlo.ENV_THREADS):
-            estimate_min_mass(P, Q, 10, 0)
-
-    def test_explicit_workers_win_over_a_bad_value(self, monkeypatch):
-        monkeypatch.delenv(montecarlo.ENV_THREADS, raising=False)
-        serial = self._both(workers=1)
-        monkeypatch.setenv(montecarlo.ENV_THREADS, "abc")
-        assert self._both(workers=1) == serial
+        serial = self._both()
+        assert pool_sizes == []  # one worker by default, no pool
         assert self._both(workers=2) == serial
+        assert pool_sizes == [2, 2]
 
 
 class TestEstimatorAgreement:

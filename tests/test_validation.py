@@ -43,13 +43,10 @@ MALFORMED = {
     "balanced_gap-None": lambda: balanced_min_inequality_gap(None, 0.2),
     "sweep-string-eps": lambda: counterexample_sweep("asym", ["x"]),
     "sweep-scalar-eps": lambda: counterexample_sweep("asym", 0.1),
-    "build_rule-string-clamp": lambda: build_rule(PANEL, "x"),
     "rule-string-offset": lambda: DecisionRule(
-        offset="x", vote_one_weights=[1.0], vote_zero_weights=[-1.0],
-        clamp_epsilon=1e-12),
+        offset="x", vote_one_weights=[1.0], vote_zero_weights=[-1.0]),
     "rule-string-weights": lambda: DecisionRule(
-        offset=0.0, vote_one_weights=["x"], vote_zero_weights=[-1.0],
-        clamp_epsilon=1e-12),
+        offset=0.0, vote_one_weights=["x"], vote_zero_weights=[-1.0]),
     "load_panel-None": lambda: load_panel(None),
     "load_panel-bool": lambda: load_panel(True),
     "load_panel-nul-byte": lambda: load_panel("panel\0.json"),
