@@ -5,90 +5,19 @@ hidden label, this package builds the best possible aggregation rule,
 computes its exact error probability by enumeration, brackets the error
 with sharp closed-form bounds, and estimates it by Monte Carlo when the
 panel is too large to enumerate.
+
+Each module declares its public names in its own __all__; the package
+re-exports all of them.
 """
 
-from .bounds import (
-    BoundsReport,
-    SweepRow,
-    committee_potential,
-    committee_potential_bounds,
-    counterexample_sweep,
-    full_report,
-    hellinger_envelopes,
-    lower_bound,
-    manino_bounds,
-    symmetric_lower_bound,
-    upper_bound,
-)
-from .core import (
-    BalancedAccuracy,
-    ExpertPanel,
-    ProductBernoulli,
-    ValidationError,
-    balanced_min_inequality_gap,
-    fold_bias,
-    load_panel,
-    min_identity,
-    validate_panel,
-)
-from .exact import (
-    DEFAULT_N_MAX,
-    AffinityResult,
-    EnumerationLimitError,
-    affinity,
-    bhattacharyya,
-    complement_symmetry_check,
-    min_mass,
-    optimal_error,
-    tensorization_gap,
-    tv_distance,
-)
-from .montecarlo import (
-    BLOCK_SIZE,
-    SimulationResult,
-    estimate_min_mass,
-    simulate_error,
-)
-from .rule import DEFAULT_CLAMP_EPSILON, DecisionRule, build_rule
+from . import bounds, core, exact, montecarlo, rule
+from .bounds import *  # noqa: F403
+from .core import *  # noqa: F403
+from .exact import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .rule import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffinityResult",
-    "BLOCK_SIZE",
-    "BalancedAccuracy",
-    "BoundsReport",
-    "DEFAULT_CLAMP_EPSILON",
-    "DEFAULT_N_MAX",
-    "DecisionRule",
-    "EnumerationLimitError",
-    "ExpertPanel",
-    "ProductBernoulli",
-    "SimulationResult",
-    "SweepRow",
-    "ValidationError",
-    "affinity",
-    "balanced_min_inequality_gap",
-    "bhattacharyya",
-    "build_rule",
-    "committee_potential",
-    "committee_potential_bounds",
-    "complement_symmetry_check",
-    "counterexample_sweep",
-    "estimate_min_mass",
-    "fold_bias",
-    "full_report",
-    "hellinger_envelopes",
-    "load_panel",
-    "lower_bound",
-    "manino_bounds",
-    "min_identity",
-    "min_mass",
-    "optimal_error",
-    "simulate_error",
-    "symmetric_lower_bound",
-    "tensorization_gap",
-    "tv_distance",
-    "upper_bound",
-    "validate_panel",
-]
+__all__ = sorted({name for module in (bounds, core, exact, montecarlo, rule)
+                  for name in module.__all__})

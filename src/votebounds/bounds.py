@@ -25,7 +25,7 @@ domain so they survive any panel size without overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -147,9 +147,10 @@ def committee_potential_bounds(panel: ExpertPanel) -> tuple[float, float]:
     """
     p = _symmetric_interior(panel)
     potential = committee_potential(p)
-    lower = 3.0 / (4.0 * (1.0 + math.exp(2.0 * potential + 4.0 * math.sqrt(potential))))
-    upper = math.exp(-0.5 * potential)
-    return lower, upper
+    x = 2.0 * potential + 4.0 * math.sqrt(potential)
+    # exp(x) overflows past x ~ 709.78; well before that 1 + exp(-x) rounds to 1
+    lower = 0.75 / (1.0 + math.exp(x)) if x < 700.0 else 0.75 * math.exp(-x)
+    return lower, math.exp(-0.5 * potential)
 
 
 def manino_bounds(panel: ExpertPanel) -> tuple[float, float]:
@@ -189,37 +190,38 @@ def hellinger_envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float
     return lower, upper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BoundsReport:
     """Every applicable bound for one panel, evaluated after folding.
 
     Symmetric-only entries are None for asymmetric or boundary panels,
     exact is None unless requested. When exact is present it must sit
-    inside [lower, upper] up to 1e-9.
+    inside [lower, upper] up to 1e-9. Fields are declared in to_dict's
+    output order.
     """
 
     n: int
     pi: BalancedAccuracy
     upper: float
     lower: float
-    hellinger_lower: float
-    hellinger_upper: float
     symmetric_lower: float | None = None
     potential_lower: float | None = None
     potential_upper: float | None = None
     manino_lower: float | None = None
     manino_upper: float | None = None
+    hellinger_lower: float
+    hellinger_upper: float
     exact: float | None = None
 
     _TOL = 1e-9
 
     def __post_init__(self):
-        for name in ("upper", "lower", "symmetric_lower", "potential_lower",
-                     "potential_upper", "manino_lower", "manino_upper",
-                     "hellinger_lower", "hellinger_upper", "exact"):
-            value = getattr(self, name)
-            if value is not None and not -self._TOL <= value <= 1.0 + self._TOL:
-                raise ValidationError(f"{name} = {value} lies outside [0, 1]")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name in ("n", "pi") or value is None:
+                continue
+            if not -self._TOL <= value <= 1.0 + self._TOL:
+                raise ValidationError(f"{field.name} = {value} lies outside [0, 1]")
         if self.exact is not None:
             if not self.lower - self._TOL <= self.exact <= self.upper + self._TOL:
                 raise ValidationError(
@@ -229,20 +231,9 @@ class BoundsReport:
 
     def to_dict(self) -> dict:
         """Flat mapping with None for absent entries, ready for JSON."""
-        return {
-            "n": self.n,
-            "pi": [float(x) for x in self.pi.pi],
-            "upper": self.upper,
-            "lower": self.lower,
-            "symmetric_lower": self.symmetric_lower,
-            "potential_lower": self.potential_lower,
-            "potential_upper": self.potential_upper,
-            "manino_lower": self.manino_lower,
-            "manino_upper": self.manino_upper,
-            "hellinger_lower": self.hellinger_lower,
-            "hellinger_upper": self.hellinger_upper,
-            "exact": self.exact,
-        }
+        out = {field.name: getattr(self, field.name) for field in fields(self)}
+        out["pi"] = self.pi.pi.tolist()
+        return out
 
 
 def full_report(panel: ExpertPanel, *, with_exact: bool = False,
@@ -343,7 +334,8 @@ def counterexample_sweep(kind: str, eps_grid) -> list[SweepRow]:
                 ProductBernoulli(np.array([e, 1.0 - e])),
             )
             bound = _asym_candidate(e)
-            ratio = bound / (e * e)
+            # bound / e^2 with the e^2 cancelled, since e * e underflows below ~1e-162
+            ratio = (1.0 - 0.5 * e) * (e / (2.0 - e)) ** _INV_SQRT2 / (2.0 * e)
         else:
             exact = min_mass(
                 ProductBernoulli(np.array([e, e])),

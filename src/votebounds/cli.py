@@ -6,11 +6,17 @@ past the enumeration cap gets the cap message from exact followed by
 the remedy its subcommand accepts. Results go to
 stdout, every diagnostic goes to stderr. Machine-readable output (json,
 csv) carries 12 significant digits, human output 6.
+
+Each subcommand handler returns a pair (payload, human text) and prints
+nothing. main prints one of the two: the payload as JSON, rounded to 12
+significant digits, under --format json, the human text otherwise.
+sweep has no --format and always prints its CSV as the human text.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -31,23 +37,21 @@ def _fmt(x: float, sig: int) -> str:
     return f"{x:.{sig}g}"
 
 
-def _jround(obj):
+def _round(obj, sig: int):
+    """obj with every float rounded to sig significant digits."""
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return float(_fmt(obj, sig))
     if isinstance(obj, list):
-        return [_jround(v) for v in obj]
+        return [_round(v, sig) for v in obj]
     if isinstance(obj, dict):
-        return {k: _jround(v) for k, v in obj.items()}
+        return {k: _round(v, sig) for k, v in obj.items()}
     return obj
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(_jround(payload)))
-
-
-def _emit_human(pairs) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
+def _table(payload: dict) -> str:
+    width = max(map(len, payload))
+    lines = []
+    for key, value in payload.items():
         if value is None:
             text = "n/a"
         elif isinstance(value, float):
@@ -56,7 +60,8 @@ def _emit_human(pairs) -> None:
             text = " ".join(_fmt(v, 6) for v in value)
         else:
             text = str(value)
-        print(f"{key:<{width}}  {text}")
+        lines.append(f"{key:<{width}}  {text}")
+    return "\n".join(lines)
 
 
 def _csv_floats(text: str):
@@ -85,31 +90,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     panel = load_panel(args.panel)
-    sig = 12 if args.format == "json" else 6
-    payload = {
-        "psi": [float(_fmt(v, sig)) for v in panel.psi],
-        "eta": [float(_fmt(v, sig)) for v in panel.eta],
-        "p_y": float(_fmt(panel.p_y, sig)),
-    }
-    print(json.dumps(payload))
-    return 0
+    payload = {"psi": panel.psi.tolist(), "eta": panel.eta.tolist(), "p_y": panel.p_y}
+    return payload, json.dumps(_round(payload, 6))
 
 
-def _cmd_decide(args) -> int:
+def _cmd_decide(args):
     panel = load_panel(args.panel)
-    rule = build_rule(panel)
-    score = rule.score(args.x)
+    score = build_rule(panel).score(args.x)
     decision = 1 if score >= 0.0 else 0  # decide's tie rule
-    if args.format == "json":
-        _emit_json({"decision": decision, "score": score})
-    else:
-        print(decision)
-    return 0
+    return {"decision": decision, "score": score}, str(decision)
 
 
-def _cmd_error(args) -> int:
+def _cmd_error(args):
     panel = load_panel(args.panel)
     folded = fold_bias(panel)
     if args.method != "mc" and (args.trials is not None or args.seed is not None):
@@ -122,34 +116,22 @@ def _cmd_error(args) -> int:
             trials, seed, workers=args.threads,
         )
         value, std_error = 0.5 * est, 0.5 * se
-        if args.format == "json":
-            _emit_json({
-                "error": value, "std_error": std_error, "method": "mc",
-                "trials": trials, "seed": seed, "n": folded.n,
-            })
-        else:
-            print(f"{_fmt(value, 6)} (std_error {_fmt(std_error, 6)})")
-        return 0
+        payload = {
+            "error": value, "std_error": std_error, "method": "mc",
+            "trials": trials, "seed": seed, "n": folded.n,
+        }
+        return payload, f"{_fmt(value, 6)} (std_error {_fmt(std_error, 6)})"
     value = optimal_error(folded, n_max=args.n_max)
-    if args.format == "json":
-        _emit_json({"error": value, "method": "exact", "n": folded.n})
-    else:
-        print(_fmt(value, 6))
-    return 0
+    return {"error": value, "method": "exact", "n": folded.n}, _fmt(value, 6)
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     panel = load_panel(args.panel)
-    report = full_report(panel, with_exact=args.with_exact, n_max=args.n_max)
-    payload = report.to_dict()
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        _emit_human(list(payload.items()))
-    return 0
+    payload = full_report(panel, with_exact=args.with_exact, n_max=args.n_max).to_dict()
+    return payload, _table(payload)
 
 
-def _cmd_tv(args) -> int:
+def _cmd_tv(args):
     P = ProductBernoulli(args.p)
     Q = ProductBernoulli(args.q)
     result = affinity(P, Q, n_max=args.n_max)
@@ -161,40 +143,26 @@ def _cmd_tv(args) -> int:
         "bhattacharyya": result.bhattacharyya,
         "hellinger_lower": hell_lower,
         "hellinger_upper": hell_upper,
-        "method": result.method,
+        "method": "enumeration",
     }
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        _emit_human(list(payload.items()))
-    return 0
+    return payload, _table(payload)
 
 
-def _cmd_sweep(args) -> int:
-    rows = counterexample_sweep(args.kind, args.eps)
-    print("eps,exact,bound,ratio")
-    for row in rows:
-        print(",".join(_fmt(v, 12) for v in (row.eps, row.exact, row.bound, row.ratio)))
-    return 0
+def _cmd_sweep(args):
+    lines = ["eps,exact,bound,ratio"]
+    for row in counterexample_sweep(args.kind, args.eps):
+        lines.append(",".join(_fmt(v, 12) for v in dataclasses.astuple(row)))
+    return None, "\n".join(lines)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     panel = load_panel(args.panel)
     result = simulate_error(panel, args.trials, args.seed, workers=args.threads)
-    if args.format == "json":
-        _emit_json({
-            "trials": result.trials,
-            "empirical_error": result.empirical_error,
-            "std_error": result.std_error,
-            "seed": result.seed,
-        })
-    else:
-        print(
-            f"{_fmt(result.empirical_error, 6)} "
-            f"(std_error {_fmt(result.std_error, 6)}, trials {result.trials}, "
-            f"seed {result.seed})"
-        )
-    return 0
+    return dataclasses.asdict(result), (
+        f"{_fmt(result.empirical_error, 6)} "
+        f"(std_error {_fmt(result.std_error, 6)}, trials {result.trials}, "
+        f"seed {result.seed})"
+    )
 
 
 def _add_format(sub) -> None:
@@ -271,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "sym: matched weak pair, overlap 2 eps")
     sub.add_argument("--eps", type=_csv_floats, required=True, metavar="E1,E2,...",
                      help="grid of eps values in (0, 1)")
-    sub.set_defaults(handler=_cmd_sweep)
+    sub.set_defaults(handler=_cmd_sweep, format="human")
 
     sub = commands.add_parser("simulate", help="simulate the generative process")
     sub.add_argument("panel", help="path to a JSON panel file")
@@ -291,7 +259,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        payload, text = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -301,6 +269,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(_round(payload, 12)) if args.format == "json" else text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -50,9 +50,13 @@ def _inside(x, interval: str):
 
 def _vector(values, name: str, interval: str = "[0, 1]") -> np.ndarray:
     """Coerce to a read-only, nonempty 1-D float64 array with entries in
-    interval, written as for _inside; by default probabilities."""
+    interval, written as for _inside; by default probabilities. Numbers
+    written as strings are refused."""
     try:
-        arr = np.asarray(values, dtype=np.float64).copy()
+        raw = np.asarray(values)
+        if raw.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in raw.flat):
+            raise TypeError("numbers written as strings are refused")
+        arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} is not a numeric sequence: {exc}") from None
     if arr.ndim != 1:
@@ -68,8 +72,11 @@ def _vector(values, name: str, interval: str = "[0, 1]") -> np.ndarray:
 
 
 def _scalar(value, name: str, interval: str = "(-inf, inf)") -> float:
-    """Coerce to a float in interval, written as for _inside."""
+    """Coerce to a float in interval, written as for _inside. A number
+    written as a string is refused."""
     try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None

@@ -279,21 +279,17 @@ class AffinityResult:
     """Closeness measures for one pair of product laws.
 
     min_mass and tv are complementary (they sum to 1), and min_mass never
-    exceeds the Bhattacharyya affinity. method records how the enumerated
-    quantities were obtained.
+    exceeds the Bhattacharyya affinity.
     """
 
     min_mass: float
     tv: float
     bhattacharyya: float
     n: int
-    method: str
 
     _TOL = 1e-9
 
     def __post_init__(self):
-        if self.method not in ("enumeration", "closed_form"):
-            raise ValidationError(f"unknown affinity method {self.method!r}")
         for name in ("min_mass", "tv", "bhattacharyya"):
             value = getattr(self, name)
             if not -self._TOL <= value <= 1.0 + self._TOL:
@@ -315,7 +311,6 @@ def affinity(P: ProductBernoulli, Q: ProductBernoulli, *,
     m, absdiff = _overlap(P, Q, n_max)
     return AffinityResult(
         min_mass=m, tv=0.5 * absdiff, bhattacharyya=bhattacharyya(P, Q), n=P.n,
-        method="enumeration",
     )
 
 

@@ -188,6 +188,18 @@ class TestCommitteePotentialBounds:
         with pytest.raises(ValidationError):
             committee_potential_bounds(ExpertPanel(psi=[0.6], eta=[0.5]))
 
+    @pytest.mark.parametrize("n", [375, 400])
+    def test_large_potential_does_not_overflow(self, n):
+        # 2F + 4 sqrt(F) is about 732 at n = 375 and 778 at n = 400, past
+        # the ~709.78 where exp overflows
+        phi = n * 0.4 * math.log(9.0)
+        x = 2.0 * phi + 4.0 * math.sqrt(phi)
+        report = full_report(sym_panel([0.9] * n))
+        assert isinstance(report.potential_lower, float)
+        assert 0.0 <= report.potential_lower <= 0.75 * math.exp(-x)
+        assert report.potential_lower > 0.0 or n == 400
+        assert_allclose(report.potential_upper, math.exp(-phi / 2.0), rtol=1e-9)
+
 
 class TestManinoBounds:
     def test_uninformative_panel(self):
@@ -340,6 +352,15 @@ class TestCounterexampleSweep:
         assert_allclose([r.exact for r in rows], [0.09, 0.01], atol=1e-12)
         assert_allclose([r.bound for r in rows], [asym_candidate(0.3), asym_candidate(0.1)], rtol=1e-12)
         assert_allclose([r.ratio for r in rows], [asym_candidate(0.3) / 0.09, asym_candidate(0.1) / 0.01], rtol=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-170, 1e-300])
+    def test_asym_ratio_survives_underflow_of_eps_squared(self, eps):
+        (row,) = counterexample_sweep("asym", [eps])
+        log_ratio = (math.log1p(-eps / 2.0)
+                     + (math.log(eps) - math.log(2.0 - eps)) / math.sqrt(2.0)
+                     - math.log(2.0 * eps))
+        assert math.isfinite(row.ratio)
+        assert_allclose(row.ratio, math.exp(log_ratio), rtol=1e-12)
 
     def test_sym_exact_values(self):
         rows = counterexample_sweep("sym", [0.1, 0.01])

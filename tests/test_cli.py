@@ -58,6 +58,17 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("fields", [
+        {"psi": ["0.9"], "eta": [0.8]},
+        {"psi": [0.9], "eta": [0.8], "p_y": "0.3"},
+    ])
+    def test_numbers_written_as_strings_rejected(self, tmp_path, capsys, fields):
+        path = write_panel(tmp_path, **fields)
+        assert main(["validate", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "strings" in err or "real number" in err
+
 
 class TestDecide:
     def test_three_expert_example(self, three_expert_path, capsys):
@@ -209,6 +220,14 @@ class TestBounds:
     def test_human_prints_n_a_for_nulls(self, counterexample_path, capsys):
         assert main(["bounds", counterexample_path]) == 0
         assert "n/a" in capsys.readouterr().out
+
+    def test_potential_lower_underflows_quietly(self, tmp_path, capsys):
+        # 400 experts at 0.9: exp(2F + 4 sqrt(F)) would overflow
+        path = write_panel(tmp_path, psi=[0.9] * 400, eta=[0.9] * 400)
+        assert main(["bounds", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["potential_lower"] == 0.0
+        assert 0.0 < payload["potential_upper"] < 1e-70
 
     def test_with_exact_round_trips(self, tmp_path, capsys):
         path = write_panel(tmp_path, psi=[0.8, 0.7], eta=[0.6, 0.9], p_y=0.7)

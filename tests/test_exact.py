@@ -288,25 +288,18 @@ class TestHellingerEnvelopes:
 
 
 class TestAffinity:
-    def test_fields_and_method(self, rng):
+    def test_fields(self, rng):
         p, q = random_pair(rng, 4)
         res = affinity(p, q)
         assert res.n == 4
-        assert res.method == "enumeration"
         assert_allclose(res.min_mass + res.tv, 1.0, atol=1e-12)
         assert res.min_mass <= res.bhattacharyya + 1e-9
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValidationError):
-            AffinityResult(
-                min_mass=0.3, tv=0.5, bhattacharyya=0.6, n=2, method="enumeration"
-            )
+            AffinityResult(min_mass=0.3, tv=0.5, bhattacharyya=0.6, n=2)
         with pytest.raises(ValidationError):
-            AffinityResult(
-                min_mass=0.5, tv=0.5, bhattacharyya=0.3, n=2, method="enumeration"
-            )
-        with pytest.raises(ValidationError):
-            AffinityResult(min_mass=0.5, tv=0.5, bhattacharyya=0.6, n=2, method="dfs")
+            AffinityResult(min_mass=0.5, tv=0.5, bhattacharyya=0.3, n=2)
 
 
 class TestOptimalError:

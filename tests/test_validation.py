@@ -1,8 +1,8 @@
 """Every malformed argument to a public function raises ValidationError.
 
 Each row is a call that once escaped as a raw TypeError or ValueError,
-or was accepted: a float or bool worker count, or a bool panel path that
-open() takes for a file descriptor.
+or was accepted: a float or bool worker count, a bool panel path that
+open() takes for a file descriptor, or a number written as a string.
 """
 
 import math
@@ -29,6 +29,7 @@ from votebounds import (
     simulate_error,
     tensorization_gap,
     upper_bound,
+    validate_panel,
 )
 from votebounds.core import _inside
 
@@ -66,6 +67,14 @@ MALFORMED = {
     "estimate_min_mass-workers-float": lambda: estimate_min_mass(P, Q, 10, 0, workers=1.5),
     "decide_batch-int": lambda: RULE.decide_batch(5),
     "decide_batch-0d-array": lambda: RULE.decide_batch(np.array(1)),
+    "panel-string-psi": lambda: validate_panel({"psi": ["0.9"], "eta": [0.8]}),
+    "panel-string-among-numbers": lambda: validate_panel({"psi": [0.9, "0.6"], "eta": [0.8, 0.7]}),
+    "panel-string-in-object-array": lambda: validate_panel(
+        {"psi": np.array([0.9, "0.6"], dtype=object), "eta": [0.8, 0.7]}),
+    "panel-string-p_y": lambda: validate_panel({"psi": [0.9], "eta": [0.8], "p_y": "0.3"}),
+    "ProductBernoulli-string-array": lambda: ProductBernoulli(np.array(["0.5"])),
+    "ProductBernoulli-bytes": lambda: ProductBernoulli([b"0.5"]),
+    "min_identity-numeric-string": lambda: min_identity("0.5", 1),
 }
 
 
