@@ -30,7 +30,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import (
-    BalancedAccuracy,
     ExpertPanel,
     ProductBernoulli,
     ValidationError,
@@ -195,13 +194,14 @@ class BoundsReport:
     """Every applicable bound for one panel, evaluated after folding.
 
     Symmetric-only entries are None for asymmetric or boundary panels,
-    exact is None unless requested. When exact is present it must sit
-    inside [lower, upper] up to 1e-9. Fields are declared in to_dict's
+    exact is None unless requested. pi holds the balanced accuracies of
+    the folded panel as a read-only array. When exact is present it must
+    sit inside [lower, upper] up to 1e-9. Fields are declared in to_dict's
     output order.
     """
 
     n: int
-    pi: BalancedAccuracy
+    pi: np.ndarray
     upper: float
     lower: float
     symmetric_lower: float | None = None
@@ -216,6 +216,7 @@ class BoundsReport:
     _TOL = 1e-9
 
     def __post_init__(self):
+        object.__setattr__(self, "pi", _vector(self.pi, "pi"))
         for field in fields(self):
             value = getattr(self, field.name)
             if field.name in ("n", "pi") or value is None:
@@ -232,7 +233,7 @@ class BoundsReport:
     def to_dict(self) -> dict:
         """Flat mapping with None for absent entries, ready for JSON."""
         out = {field.name: getattr(self, field.name) for field in fields(self)}
-        out["pi"] = self.pi.pi.tolist()
+        out["pi"] = self.pi.tolist()
         return out
 
 
@@ -264,7 +265,7 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
 
     return BoundsReport(
         n=folded.n,
-        pi=BalancedAccuracy.from_panel(folded),
+        pi=_balanced(folded),
         upper=upper_bound(folded),
         lower=lower_bound(folded),
         symmetric_lower=sym_lower,
@@ -322,20 +323,23 @@ def counterexample_sweep(kind: str, eps_grid) -> list[SweepRow]:
     ratio = bound / eps decays to zero, showing how loose the
     euclidean-norm exponent is here even though it is valid.
 
-    Exact values are enumerated, not taken from the closed forms.
+    Exact values are enumerated, not taken from the closed forms: the
+    exact column is the overlap of the panel as built in floats, where
+    1 - eps is rounded, which costs it about 2^-53 / eps of relative
+    accuracy. So eps must be at least 2^-53; below about 2^-54, 1 - eps
+    rounds to 1 and the panel holds a deterministic expert.
     """
     if kind not in SWEEP_KINDS:
         raise ValidationError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
     rows = []
-    for e in _vector(eps_grid, "eps", "(0, 1)").tolist():
+    for e in _vector(eps_grid, "eps", f"[{2.0 ** -53!r}, 1)").tolist():
         if kind == "asym":
             exact = min_mass(
                 ProductBernoulli(np.array([1.0, 0.0])),
                 ProductBernoulli(np.array([e, 1.0 - e])),
             )
             bound = _asym_candidate(e)
-            # bound / e^2 with the e^2 cancelled, since e * e underflows below ~1e-162
-            ratio = (1.0 - 0.5 * e) * (e / (2.0 - e)) ** _INV_SQRT2 / (2.0 * e)
+            ratio = bound / (e * e)
         else:
             exact = min_mass(
                 ProductBernoulli(np.array([e, e])),

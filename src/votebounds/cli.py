@@ -20,7 +20,7 @@ import dataclasses
 import json
 import sys
 
-from .bounds import counterexample_sweep, full_report, hellinger_envelopes
+from .bounds import SWEEP_KINDS, counterexample_sweep, full_report, hellinger_envelopes
 from .core import ProductBernoulli, ValidationError, fold_bias, load_panel
 from .exact import DEFAULT_N_MAX, EnumerationLimitError, affinity, optimal_error
 from .montecarlo import estimate_min_mass, simulate_error
@@ -234,11 +234,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_tv, remedy="raise --n-max")
 
     sub = commands.add_parser("sweep", help="trace the showcase panels over an eps grid (CSV)")
-    sub.add_argument("--kind", choices=("asym", "sym"), required=True,
+    sub.add_argument("--kind", choices=SWEEP_KINDS, required=True,
                      help="asym: mismatched two-expert pair, overlap eps^2; "
                           "sym: matched weak pair, overlap 2 eps")
     sub.add_argument("--eps", type=_csv_floats, required=True, metavar="E1,E2,...",
-                     help="grid of eps values in (0, 1)")
+                     help="grid of eps values in [2^-53, 1)")
     sub.set_defaults(handler=_cmd_sweep, format="human")
 
     sub = commands.add_parser("simulate", help="simulate the generative process")

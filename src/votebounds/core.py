@@ -1,4 +1,4 @@
-"""Domain types and elementary identities for panels of binary experts.
+"""Domain types and input checks for panels of binary experts.
 
 A panel bundles n conditionally independent binary experts. Expert i is
 described by its sensitivity psi[i] (probability of voting 1 when the
@@ -14,7 +14,6 @@ input. The prior must be strictly interior.
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -25,12 +24,9 @@ __all__ = [
     "ValidationError",
     "ProductBernoulli",
     "ExpertPanel",
-    "BalancedAccuracy",
     "validate_panel",
     "load_panel",
     "fold_bias",
-    "min_identity",
-    "balanced_min_inequality_gap",
 ]
 
 
@@ -112,10 +108,6 @@ class ProductBernoulli:
     def n(self) -> int:
         return int(self.p.size)
 
-    def complement(self) -> "ProductBernoulli":
-        """The law of the coordinatewise flipped vector, parameters 1 - p."""
-        return ProductBernoulli(1.0 - self.p)
-
 
 @dataclass(frozen=True, eq=False)
 class ExpertPanel:
@@ -166,20 +158,6 @@ def _check_panel(panel) -> ExpertPanel:
     if not isinstance(panel, ExpertPanel):
         raise ValidationError(f"expected an ExpertPanel, got {type(panel).__name__}")
     return panel
-
-
-@dataclass(frozen=True, eq=False)
-class BalancedAccuracy:
-    """Per-expert balanced accuracies pi[i] = (psi[i] + eta[i]) / 2."""
-
-    pi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pi", _vector(self.pi, "pi"))
-
-    @classmethod
-    def from_panel(cls, panel: ExpertPanel) -> "BalancedAccuracy":
-        return cls(0.5 * (_check_panel(panel).psi + panel.eta))
 
 
 _PANEL_KEYS = frozenset({"psi", "eta", "p_y"})
@@ -236,28 +214,3 @@ def fold_bias(panel: ExpertPanel) -> ExpertPanel:
         eta=np.append(panel.eta, theta),
         p_y=0.5,
     )
-
-
-def min_identity(u: float, v: float) -> float:
-    """min(u, v) for positive u, v via sqrt(u v) * exp(-|log(u/v)| / 2).
-
-    The geometric mean overshoots the minimum by exactly half the log gap
-    in the exponent, which is what makes square-root-product bounds
-    sharpen into exact minimum computations.
-    """
-    u = _scalar(u, "u", "(0, inf)")
-    v = _scalar(v, "v", "(0, inf)")
-    return math.sqrt(u * v) * math.exp(-0.5 * abs(math.log(u / v)))
-
-
-def balanced_min_inequality_gap(s: float, t: float) -> float:
-    """Slack of min(s, 1-t) + min(t, 1-s) >= 2 min(u, 1-u) at u = (s+t)/2.
-
-    Nonnegative for s, t in [0, 1], and zero exactly when s = t or
-    s + t = 1. The two-point average is where an asymmetric pair and its
-    balanced surrogate meet.
-    """
-    s = _scalar(s, "s", "[0, 1]")
-    t = _scalar(t, "t", "[0, 1]")
-    u = 0.5 * (s + t)
-    return (min(s, 1.0 - t) + min(t, 1.0 - s)) - 2.0 * min(u, 1.0 - u)

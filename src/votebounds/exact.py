@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer, _scalar, fold_bias
+from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer, fold_bias
 
 __all__ = [
     "DEFAULT_N_MAX",
@@ -45,8 +45,6 @@ __all__ = [
     "bhattacharyya",
     "affinity",
     "optimal_error",
-    "complement_symmetry_check",
-    "tensorization_gap",
 ]
 
 DEFAULT_N_MAX = 24
@@ -58,9 +56,6 @@ DEFAULT_N_MAX = 24
 # about 106 us and the whole table 45 us. Without this path the six n = 2 sweeps of acceptance
 # criterion 03 took 0.54-1.37 ms against its 1 ms gate and failed 2 of 5 runs.
 _WHOLE_TABLE_N_MAX = 12
-
-_NORM_ORDERS = (1.0, 2.0, math.inf)
-_COMPLEMENT_N_MAX = 12
 
 
 class EnumerationLimitError(ValueError):
@@ -328,50 +323,3 @@ def optimal_error(panel: ExpertPanel, *, n_max: int = DEFAULT_N_MAX) -> float:
     """
     folded = fold_bias(panel)
     return 0.5 * min_mass(folded.law_given_one(), folded.law_given_zero(), n_max=n_max)
-
-
-def _norm(diff: np.ndarray, r: float) -> float:
-    if r == math.inf:
-        return float(np.max(np.abs(diff)))
-    if r == 1.0:
-        return float(np.sum(np.abs(diff)))
-    return float(np.sum(np.abs(diff) ** r) ** (1.0 / r))
-
-
-def complement_symmetry_check(psi: ProductBernoulli, eta: ProductBernoulli,
-                              r: float) -> tuple[float, float]:
-    """Both sides of the flip symmetry of sensitivity/specificity distances.
-
-    Returns (||Ber(psi) - Ber(1-eta)||_r, ||Ber(1-psi) - Ber(eta)||_r) for
-    r in {1, 2, inf}, norms taken over the 2^n outcome masses. Flipping
-    every coordinate is a measure-preserving bijection of the cube that
-    swaps the two pairs, so the two values agree. Capped at n = 12.
-    """
-    order = _scalar(r, "norm order", "[1, inf]")
-    if order not in _NORM_ORDERS:
-        raise ValidationError(f"norm order must be 1, 2 or inf, got {r!r}")
-    _check_pair(psi, eta, _COMPLEMENT_N_MAX)
-    direct = np.subtract(*_mass_table(_bernoulli(psi.p, 1.0 - eta.p)))
-    flipped = np.subtract(*_mass_table(_bernoulli(1.0 - psi.p, eta.p)))
-    return _norm(direct, order), _norm(flipped, order)
-
-
-def tensorization_gap(P: ProductBernoulli, P_alt: ProductBernoulli,
-                      Q: ProductBernoulli, Q_alt: ProductBernoulli, *,
-                      n_max: int = DEFAULT_N_MAX) -> float:
-    """Super-multiplicativity slack of min-mass under products.
-
-    min_mass(P x Q, P' x Q') - min_mass(P, P') * min_mass(Q, Q'), which is
-    nonnegative: taking minima coordinate-block by coordinate-block before
-    summing can only lose mass. P, P' share one dimension and Q, Q'
-    another; the joint enumeration covers their sum.
-    """
-    _check_pair(P, P_alt)
-    _check_pair(Q, Q_alt)
-    joint = min_mass(
-        ProductBernoulli(np.concatenate((P.p, Q.p))),
-        ProductBernoulli(np.concatenate((P_alt.p, Q_alt.p))),
-        n_max=n_max,
-    )
-    split = min_mass(P, P_alt, n_max=n_max) * min_mass(Q, Q_alt, n_max=n_max)
-    return joint - split

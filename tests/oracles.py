@@ -8,13 +8,19 @@ the two agree bit for bit. Dimensions stay small enough that O(n 2^n)
 per call is fine. The binomial oracles enumerate one-count vectors of
 duplicate expert types instead, which reaches the enumeration cap.
 
-The exceptions are `per_row_bit_rows` and the pair of whole-block Monte
-Carlo estimators at the end. The first checks a batch of vote vectors
-one `_check_bits` call per row, the behaviour `decide_batch`'s vectorized
-check must reproduce. The others keep the block bodies that drew each
-block in one array, and share the stream keying and the scoring kernel
-with the library on purpose: they pin how a block is drawn and reduced,
-not the statistics.
+The identities of the paper that the library does not compute live
+here too: `min_identity`, `balanced_min_inequality_gap`,
+`complement_symmetry_check` and `tensorization_gap`.
+
+Three kinds of oracle share code with the library on purpose.
+`tensorization_gap` calls the library's `min_mass`, so that the product
+inequality it measures exercises the exact kernel. `per_row_bit_rows`
+checks a batch of vote vectors one `_check_bits` call per row, the
+behaviour `decide_batch`'s vectorized check must reproduce. The pair of
+whole-block Monte Carlo estimators at the end keep the block bodies that
+drew each block in one array, and share the stream keying and the
+scoring kernel with the library: they pin how a block is drawn and
+reduced, not the statistics.
 """
 
 import itertools
@@ -139,6 +145,39 @@ def brute_norm(diff, r):
     if r == math.inf:
         return float(np.max(np.abs(diff)))
     return float(np.sum(np.abs(diff) ** r) ** (1.0 / r))
+
+
+def min_identity(u, v):
+    """min(u, v) for positive u, v as sqrt(u v) exp(-|log(u / v)| / 2)."""
+    return math.sqrt(u * v) * math.exp(-0.5 * abs(math.log(u / v)))
+
+
+def balanced_min_inequality_gap(s, t):
+    """Slack of min(s, 1-t) + min(t, 1-s) >= 2 min(u, 1-u) at u = (s+t)/2."""
+    u = 0.5 * (s + t)
+    return (min(s, 1.0 - t) + min(t, 1.0 - s)) - 2.0 * min(u, 1.0 - u)
+
+
+def complement_symmetry_check(psi, eta, r):
+    """(||Ber(psi) - Ber(1-eta)||_r, ||Ber(1-psi) - Ber(eta)||_r) over the
+    outcome masses, for laws psi and eta. Flipping every coordinate swaps
+    the two pairs, so the values agree."""
+    direct = brute_masses(psi.p) - brute_masses(1.0 - eta.p)
+    flipped = brute_masses(1.0 - psi.p) - brute_masses(eta.p)
+    return brute_norm(direct, r), brute_norm(flipped, r)
+
+
+def tensorization_gap(P, P_alt, Q, Q_alt):
+    """min_mass(P x Q, P' x Q') - min_mass(P, P') min_mass(Q, Q').
+
+    Nonnegative: taking minima block by block before summing can only
+    lose mass. Calls the library's min_mass on purpose.
+    """
+    from votebounds import ProductBernoulli, min_mass
+
+    joint = min_mass(ProductBernoulli(np.concatenate((P.p, Q.p))),
+                     ProductBernoulli(np.concatenate((P_alt.p, Q_alt.p))))
+    return joint - min_mass(P, P_alt) * min_mass(Q, Q_alt)
 
 
 def min_score_margin(panel, build_rule_fn):

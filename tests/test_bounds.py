@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from votebounds import (
-    BalancedAccuracy,
     BoundsReport,
     ExpertPanel,
     ProductBernoulli,
@@ -323,8 +322,20 @@ class TestBoundsReport:
         assert payload["exact"] is None
         assert payload["upper"] == report.upper
 
+    def test_pi_averages_rates(self):
+        report = full_report(ExpertPanel(psi=[1.0, 0.0], eta=[0.9, 0.1]))
+        assert_allclose(report.pi, [0.95, 0.05])
+        assert report.to_dict()["pi"] == report.pi.tolist()
+        with pytest.raises(ValueError):
+            report.pi[0] = 0.5
+
+    def test_pi_out_of_range_rejected(self):
+        with pytest.raises(ValidationError):
+            BoundsReport(n=1, pi=np.array([1.1]), upper=0.5, lower=0.0,
+                         hellinger_lower=0.0, hellinger_upper=1.0)
+
     def test_invariant_violation_rejected(self):
-        acc = BalancedAccuracy([0.5])
+        acc = np.array([0.5])
         with pytest.raises(ValidationError):
             BoundsReport(
                 n=1,
@@ -353,14 +364,24 @@ class TestCounterexampleSweep:
         assert_allclose([r.bound for r in rows], [asym_candidate(0.3), asym_candidate(0.1)], rtol=1e-12)
         assert_allclose([r.ratio for r in rows], [asym_candidate(0.3) / 0.09, asym_candidate(0.1) / 0.01], rtol=1e-12)
 
-    @pytest.mark.parametrize("eps", [1e-170, 1e-300])
-    def test_asym_ratio_survives_underflow_of_eps_squared(self, eps):
+    @pytest.mark.parametrize("kind", ["asym", "sym"])
+    def test_refuses_eps_below_float_resolution(self, kind):
+        # 1 - eps rounds to 1, which would turn the enumerated panel into
+        # one with a deterministic expert
+        for eps in (1e-170, 1e-300):
+            with pytest.raises(ValidationError, match="eps"):
+                counterexample_sweep(kind, [eps])
+
+    def test_asym_ratio_at_the_eps_floor(self):
+        eps = 2.0**-53
         (row,) = counterexample_sweep("asym", [eps])
         log_ratio = (math.log1p(-eps / 2.0)
                      + (math.log(eps) - math.log(2.0 - eps)) / math.sqrt(2.0)
                      - math.log(2.0 * eps))
-        assert math.isfinite(row.ratio)
         assert_allclose(row.ratio, math.exp(log_ratio), rtol=1e-12)
+        assert_allclose(row.exact, eps * eps, rtol=1e-12)
+        (sym_row,) = counterexample_sweep("sym", [eps])
+        assert_allclose(sym_row.exact, 2.0 * eps, rtol=1e-12)
 
     def test_sym_exact_values(self):
         rows = counterexample_sweep("sym", [0.1, 0.01])

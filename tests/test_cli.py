@@ -284,6 +284,12 @@ class TestSweep:
     def test_out_of_range_grid_fails_validation(self, capsys):
         assert main(["sweep", "--kind", "asym", "--eps", "0.0,0.1"]) == 1
 
+    def test_eps_below_the_floor_fails_validation(self, capsys):
+        assert main(["sweep", "--kind", "sym", "--eps", "1e-20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eps[0] = 1e-20 lies outside [1.1102230246251565e-16, 1)" in captured.err
+
     def test_unknown_kind_is_usage_error(self):
         assert main(["sweep", "--kind", "diag", "--eps", "0.1"]) == 2
 

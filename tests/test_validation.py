@@ -11,23 +11,18 @@ import numpy as np
 import pytest
 
 from votebounds import (
-    BalancedAccuracy,
     DecisionRule,
     ExpertPanel,
     ProductBernoulli,
     ValidationError,
-    balanced_min_inequality_gap,
     build_rule,
     committee_potential,
-    complement_symmetry_check,
     counterexample_sweep,
     estimate_min_mass,
     fold_bias,
     load_panel,
-    min_identity,
     min_mass,
     simulate_error,
-    tensorization_gap,
     upper_bound,
     validate_panel,
 )
@@ -40,8 +35,6 @@ RULE = build_rule(PANEL)
 
 MALFORMED = {
     "committee_potential-string": lambda: committee_potential("abc"),
-    "min_identity-string": lambda: min_identity("a", 1),
-    "balanced_gap-None": lambda: balanced_min_inequality_gap(None, 0.2),
     "sweep-string-eps": lambda: counterexample_sweep("asym", ["x"]),
     "sweep-scalar-eps": lambda: counterexample_sweep("asym", 0.1),
     "rule-string-offset": lambda: DecisionRule(
@@ -53,14 +46,11 @@ MALFORMED = {
     "load_panel-nul-byte": lambda: load_panel("panel\0.json"),
     "fold_bias-not-a-panel": lambda: fold_bias("x"),
     "upper_bound-not-a-panel": lambda: upper_bound({"psi": [0.9], "eta": [0.8]}),
-    "from_panel-not-a-panel": lambda: BalancedAccuracy.from_panel(None),
     "build_rule-not-a-panel": lambda: build_rule([0.9, 0.8]),
     "simulate-not-a-panel": lambda: simulate_error(None, 10, 0),
     "min_mass-n_max-None": lambda: min_mass(P, Q, n_max=None),
     "min_mass-n_max-string": lambda: min_mass(P, Q, n_max="x"),
     "min_mass-n_max-bool": lambda: min_mass(P, Q, n_max=True),
-    "tensorization_gap-n_max-None": lambda: tensorization_gap(P, Q, P, Q, n_max=None),
-    "complement_check-string-order": lambda: complement_symmetry_check(P, Q, "x"),
     "simulate-workers-float": lambda: simulate_error(PANEL, 10, 0, workers=1.5),
     "simulate-workers-string": lambda: simulate_error(PANEL, 10, 0, workers="2"),
     "simulate-workers-bool": lambda: simulate_error(PANEL, 10, 0, workers=True),
@@ -74,7 +64,6 @@ MALFORMED = {
     "panel-string-p_y": lambda: validate_panel({"psi": [0.9], "eta": [0.8], "p_y": "0.3"}),
     "ProductBernoulli-string-array": lambda: ProductBernoulli(np.array(["0.5"])),
     "ProductBernoulli-bytes": lambda: ProductBernoulli([b"0.5"]),
-    "min_identity-numeric-string": lambda: min_identity("0.5", 1),
 }
 
 
