@@ -79,6 +79,11 @@ def _symmetric_interior(panel: ExpertPanel) -> np.ndarray:
     return _vector(panel.psi, "psi", "(0, 1)")
 
 
+def _root_product(x: np.ndarray) -> float:
+    """2^n sqrt(prod_i x_i (1 - x_i)) for interior x, in the log domain."""
+    return math.exp(x.size * _LOG2 + 0.5 * float(np.sum(np.log(x * (1.0 - x)))))
+
+
 def upper_bound(panel: ExpertPanel) -> float:
     """Root-product upper bound from balanced accuracies.
 
@@ -88,8 +93,7 @@ def upper_bound(panel: ExpertPanel) -> float:
     pi = _balanced(panel)
     if np.any(pi == 0.0) or np.any(pi == 1.0):
         return 0.0
-    log_term = panel.n * _LOG2 + 0.5 * float(np.sum(np.log(pi * (1.0 - pi))))
-    return 0.5 * math.exp(log_term)
+    return 0.5 * _root_product(pi)
 
 
 def lower_bound(panel: ExpertPanel) -> float:
@@ -105,7 +109,7 @@ def lower_bound(panel: ExpertPanel) -> float:
 def _symmetric_pieces(panel: ExpertPanel) -> tuple[float, float]:
     """(root-product base, euclidean-norm exponential) of a symmetric panel."""
     p = _symmetric_interior(panel)
-    base = math.exp(panel.n * _LOG2 + 0.5 * float(np.sum(np.log(p * (1.0 - p)))))
+    base = _root_product(p)
     w = np.log(p / (1.0 - p))
     damp = math.exp(-0.5 * math.sqrt(float(np.sum(w * w))))
     return base, damp
@@ -172,7 +176,7 @@ def hellinger_envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float
 
     With d_i = p_i - q_i:
 
-        sqrt(prod_i (1 - d_i^2) / 2)  <=  affinity  <=  sqrt(prod_i (1 - d_i^2))
+        sqrt(prod_i ((1 - d_i^2) / 2))  <=  affinity  <=  sqrt(prod_i (1 - d_i^2))
 
     The upper envelope is attained when p_i + q_i = 1 for every i; the
     lower one reflects that each factor of the affinity is at least
@@ -243,7 +247,8 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
 
     The report describes the folded panel, so n counts the extra expert
     a biased prior turns into. with_exact additionally runs the exact
-    enumeration, which requires the folded size to stay within n_max.
+    enumeration, which requires the reduced table of the folded panel
+    to stay within 2^n_max points.
     """
     folded = fold_bias(panel)
     interior = bool(np.all((folded.psi > 0.0) & (folded.psi < 1.0)))

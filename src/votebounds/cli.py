@@ -179,7 +179,8 @@ def _add_threads(sub) -> None:
 def _add_n_max(sub) -> None:
     sub.add_argument("--n-max", dest="n_max", type=_positive_int,
                      default=DEFAULT_N_MAX, metavar="K",
-                     help=f"enumeration cap (default {DEFAULT_N_MAX})")
+                     help="enumeration cap: refuse a panel whose reduced table has "
+                          f"more than 2^K points (default {DEFAULT_N_MAX})")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -3,8 +3,8 @@
 Overlap and total variation are exact sums over all of {0, 1}^n of
 outcome masses kept in the linear domain; masses that underflow to zero
 for extreme parameters are acceptable in such sums. Exact work is capped
-at n_max coordinates (24 by default); larger instances must go through
-the Monte Carlo estimators instead.
+at a reduced table of 2^n_max points (n_max 24 by default); larger
+instances must go through the Monte Carlo estimators instead.
 
 Every pair is first reduced exactly (see _reduce):
 - coordinates with p_i == q_i drop out;
@@ -21,9 +21,11 @@ summed whole. Larger products meet in the middle (Horowitz and Sahni,
 searched with the sorted thresholds of the other; see _overlap. Time
 and memory grow like the square root of the reduced table, so panels
 with duplicate, uninformative or boundary experts take less time than
-panels of distinct interior experts. The cap still counts the
-coordinates before reduction. Exact work is serial and takes no worker
-count; only the Monte Carlo estimators run threads.
+panels of distinct interior experts. The cap bounds log2 of the reduced
+table, the product of the factor sizes, so n distinct interior experts
+count n against it and duplicate, uninformative or boundary experts
+count less. Exact work is serial and takes no worker count; only the
+Monte Carlo estimators run threads.
 """
 
 from __future__ import annotations
@@ -87,8 +89,22 @@ def _bernoulli(p, q) -> np.ndarray:
 
 
 def _binomial(m: int, p: float) -> list[float]:
-    """Law of the number of ones among m coordinates that each have rate p."""
-    return [math.comb(m, k) * p**k * (1.0 - p) ** (m - k) for k in range(m + 1)]
+    """Law of the number of ones among m coordinates that each have rate p.
+
+    For interior p. The terms are multiplied outward from the mode by the
+    ratio of neighbours and then normalized by their sum, so no term
+    grows past about 1 and no binomial coefficient is formed.
+    """
+    odds = p / (1.0 - p)
+    mode = int((m + 1) * p)
+    w = [0.0] * (m + 1)
+    w[mode] = 1.0
+    for k in range(mode, m):
+        w[k + 1] = w[k] * odds * (m - k) / (k + 1)
+    for k in range(mode, 0, -1):
+        w[k - 1] = w[k] / odds * k / (m - k + 1)
+    total = math.fsum(w)
+    return [x / total for x in w]
 
 
 def _point_mass_share(d: float, r: float, m: int) -> tuple[float, float]:
@@ -186,23 +202,21 @@ def _below_above(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return below, sums[k]
 
 
-def _check_pair(P: ProductBernoulli, Q: ProductBernoulli,
-                n_max: float = math.inf) -> None:
+def _check_pair(P: ProductBernoulli, Q: ProductBernoulli) -> None:
     if not isinstance(P, ProductBernoulli) or not isinstance(Q, ProductBernoulli):
         raise ValidationError("expected a pair of ProductBernoulli laws")
     if P.n != Q.n:
         raise ValidationError(f"dimension mismatch: {P.n} vs {Q.n} coordinates")
-    if P.n > n_max:
-        raise EnumerationLimitError(f"n = {P.n} exceeds the enumeration cap n_max = {n_max}")
 
 
 def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
              n_max: int) -> tuple[float, float]:
     """(sum of min(P, Q), sum of |P - Q|) over the cube, accumulated apart.
 
-    The pair is reduced first (see _reduce). A small reduced table is
-    summed whole; the factors of a larger one are split into halves A
-    and B. For a point (x, y) with x in A and y in B,
+    The pair is reduced first (see _reduce), and a reduced table of more
+    than 2^n_max points is refused. A small reduced table is summed
+    whole; the factors of a larger one are split into halves A and B.
+    For a point (x, y) with x in A and y in B,
     a P(x, y) <= b Q(x, y) exactly when
     log P_B(y) - log Q_B(y) <= log b Q_A(x) - log a P_A(x), so with B
     sorted by that ratio P is the minimum on a prefix and Q on the
@@ -212,12 +226,20 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
     touches for the first time costs a page fault, and blocks freed
     earlier in the call are reused without one.
     """
-    _check_pair(P, Q, _integer(n_max, "n_max"))
+    n_max = _integer(n_max, "n_max")
+    _check_pair(P, Q)
     reduced = _reduce(P.p, Q.p)
     if reduced is None:
         return 0.0, 2.0
     factors, a, b, spill = reduced
-    if math.prod(f.shape[1] for f in factors) <= 1 << _WHOLE_TABLE_N_MAX:
+    size = math.prod(f.shape[1] for f in factors)
+    # bit_length, not 1 << n_max: n_max is user input and may be huge
+    if (size - 1).bit_length() > n_max:
+        raise EnumerationLimitError(
+            f"n = {P.n} reduces to a table of {size} points, more than 2^{n_max}: "
+            f"exceeds the enumeration cap n_max = {n_max}"
+        )
+    if size <= 1 << _WHOLE_TABLE_N_MAX:
         tp, tq = _mass_table(factors, (a, b))
         return float(np.sum(np.minimum(tp, tq))), spill + float(np.sum(np.abs(tp - tq)))
     half_a, half_b = _halves(factors)

@@ -69,15 +69,18 @@ def count_masses(m, p):
     (k_1, ..., k_T) is prod_t comb(m_t, k_t) p_t^k_t (1 - p_t)^(m_t - k_t),
     the total mass of the points of the cube with those counts. All of
     those points have the same mass, so sums of min(P, Q) and |P - Q|
-    over the cube are the same sums over count vectors.
+    over the cube are the same sums over count vectors. Each mass is an
+    exact ratio of integers, with p_t = a / b as the float holds it,
+    rounded once by the int / int division, so nothing overflows or
+    underflows on the way.
     """
-    masses = []
-    for ks in itertools.product(*(range(mt + 1) for mt in m)):
-        mass = 1.0
-        for mt, pt, kt in zip(m, p, ks):
-            mass *= math.comb(mt, kt) * pt**kt * (1.0 - pt) ** (mt - kt)
-        masses.append(mass)
-    return masses
+    numerators, denominator = [], 1
+    for mt, pt in zip(m, p):
+        a, b = float(pt).as_integer_ratio()
+        numerators.append([math.comb(mt, k) * a**k * (b - a) ** (mt - k)
+                           for k in range(mt + 1)])
+        denominator *= b**mt
+    return [math.prod(ns) / denominator for ns in itertools.product(*numerators)]
 
 
 def binomial_min_mass(m, p, q):

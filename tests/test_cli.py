@@ -33,6 +33,18 @@ def counterexample_path(tmp_path):
 
 
 @pytest.fixture
+def distinct_path(tmp_path):
+    """Two distinct interior experts: a reduced table of 2^2 points."""
+    return write_panel(tmp_path, "distinct.json", psi=[0.9, 0.6], eta=[0.8, 0.7])
+
+
+def distinct_panel(tmp_path, n):
+    """n distinct interior experts, which no reduction shrinks."""
+    psi = [0.6 + 0.3 * i / n for i in range(n)]
+    return write_panel(tmp_path, psi=psi, eta=[0.7] * n)
+
+
+@pytest.fixture
 def three_expert_path(tmp_path):
     return write_panel(tmp_path, psi=[0.9, 0.6, 0.6], eta=[0.9, 0.6, 0.6])
 
@@ -110,21 +122,37 @@ class TestError:
         assert capsys.readouterr().out == first
 
     def test_refuses_oversized_panel_without_mc(self, tmp_path, capsys):
-        path = write_panel(tmp_path, psi=[0.6] * 30, eta=[0.7] * 30)
+        path = distinct_panel(tmp_path, 30)
         assert main(["error", path]) == 1
         assert "--method mc" in capsys.readouterr().err
 
-    def test_cap_counts_experts_before_reduction(self, tmp_path, capsys):
-        # 25 identical experts would reduce to one 26-state factor; the
-        # cap still counts the 25 experts.
+    def test_cap_counts_the_reduced_table(self, tmp_path, capsys):
+        # 25 identical experts reduce to one 26-state factor; 25 distinct
+        # interior experts keep all 2^25 points.
         path = write_panel(tmp_path, psi=[0.7] * 25, eta=[0.8] * 25)
-        assert main(["error", path]) == 1
-        assert "--method mc" in capsys.readouterr().err
-        path = write_panel(tmp_path, psi=[0.7] * 24, eta=[0.8] * 24)
         assert main(["error", path, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "exact"
-        assert payload["n"] == 24
+        assert payload["n"] == 25
+        want = 0.5 * oracles.binomial_min_mass([25], [0.7], [1.0 - 0.8])
+        assert_allclose(payload["error"], want, rtol=1e-11)
+        assert main(["error", distinct_panel(tmp_path, 25)]) == 1
+        err = capsys.readouterr().err
+        assert "n = 25 reduces to a table of 33554432 points" in err
+        assert "--method mc" in err
+
+    def test_large_jury_runs_past_float_binomials(self, tmp_path, capsys):
+        # past about 1030 experts math.comb(m, m // 2) does not fit in a float
+        path = write_panel(tmp_path, psi=[0.6] * 1001, eta=[0.6] * 1001)
+        assert main(["error", path, "--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"error": 8.07979836184e-11, "method": "exact", "n": 1001}\n'
+        )
+        path = write_panel(tmp_path, psi=[0.6] * 1100, eta=[0.6] * 1100)
+        assert main(["error", path, "--n-max", "2000", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == 1100
+        assert 0.0 < payload["error"] < 1e-10
 
     def test_mc_method_on_oversized_panel(self, tmp_path, capsys):
         path = write_panel(tmp_path, psi=[0.6] * 30, eta=[0.7] * 30)
@@ -189,8 +217,9 @@ class TestError:
     def test_seed_without_mc_is_usage_error(self, counterexample_path):
         assert main(["error", counterexample_path, "--seed", "3"]) == 2
 
-    def test_n_max_flag_lowers_cap(self, counterexample_path):
-        assert main(["error", counterexample_path, "--n-max", "1"]) == 1
+    def test_n_max_flag_lowers_cap(self, distinct_path):
+        assert main(["error", distinct_path, "--n-max", "1"]) == 1
+        assert main(["error", distinct_path, "--n-max", "2"]) == 0
 
 
 class TestBounds:
@@ -348,11 +377,12 @@ class TestExitMatrix:
         (["bounds", "PANEL", "--with-exact"], "--with-exact", None),
         (["tv", "--p", "0.6,0.3", "--q", "0.4,0.5"], "--n-max", ["--n-max", "2"]),
     ], ids=["error", "bounds", "tv"])
-    def test_over_cap_message_names_a_remedy_that_runs(self, counterexample_path, capsys,
+    def test_over_cap_message_names_a_remedy_that_runs(self, distinct_path, capsys,
                                                        argv, remedy, fixed):
-        argv = [counterexample_path if a == "PANEL" else a for a in argv]
+        argv = [distinct_path if a == "PANEL" else a for a in argv]
         assert main(argv + ["--n-max", "1"]) == 1
         err = capsys.readouterr().err
+        assert "n = 2 reduces to a table of 4 points, more than 2^1" in err
         assert "exceeds the enumeration cap n_max = 1" in err
         assert remedy in err
         # the remedy as the message gives it: mc, no --with-exact, a higher cap

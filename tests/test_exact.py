@@ -96,10 +96,12 @@ class TestMinMass:
             min_mass(ProductBernoulli([0.5]), ProductBernoulli([0.5, 0.5]))
 
     def test_enumeration_limit(self):
-        p = ProductBernoulli(np.full(6, 0.5))
+        # six distinct interior pairs reduce to a table of 2^6 points
+        p = ProductBernoulli([0.6, 0.7, 0.8, 0.9, 0.55, 0.65])
+        q = ProductBernoulli([0.3, 0.2, 0.1, 0.4, 0.35, 0.25])
         with pytest.raises(EnumerationLimitError):
-            min_mass(p, p, n_max=5)
-        assert_allclose(min_mass(p, p, n_max=6), 1.0, atol=1e-12)
+            min_mass(p, q, n_max=5)
+        assert_allclose(min_mass(p, q, n_max=6), oracles.brute_min_mass(p.p, q.p), rtol=1e-12)
 
     def test_permutation_invariance(self, rng):
         for _ in range(10):
@@ -152,6 +154,8 @@ class TestPanelReduction:
     @settings(max_examples=60, deadline=None)
     def test_split_path_matches_brute_enumeration(self, pair):
         p, q = pair
+        # the reduced table never has more than 2^n points
+        assert min_mass(p, q, n_max=p.n) == min_mass(p, q)
         for got, want in ((min_mass(p, q), oracles.brute_min_mass(p.p, q.p)),
                           (tv_distance(p, q), oracles.brute_tv(p.p, q.p))):
             if want == 0.0:
@@ -191,17 +195,29 @@ class TestPanelReduction:
         assert min_mass(R, R) == 1.0
         assert tv_distance(R, R) == 0.0
 
-    def test_cap_counts_coordinates_before_reduction(self):
-        # 25 identical experts reduce to one 26-state factor, but the cap
-        # bounds the folded panel size, not the reduced table.
-        over = ExpertPanel(psi=np.full(25, 0.7), eta=np.full(25, 0.8))
+    def test_cap_counts_the_reduced_table(self):
+        # 25 identical experts reduce to one 26-state factor, well inside
+        # the cap; 25 distinct interior experts keep all 2^25 points.
+        same = ExpertPanel(psi=np.full(25, 0.7), eta=np.full(25, 0.8))
+        want = oracles.binomial_min_mass([25], [0.7], [1.0 - 0.8])
+        assert_allclose(optimal_error(same), 0.5 * want, rtol=1e-12)
+        distinct = ExpertPanel(psi=np.linspace(0.6, 0.9, 25), eta=np.linspace(0.7, 0.8, 25))
+        with pytest.raises(EnumerationLimitError, match="33554432 points"):
+            min_mass(distinct.law_given_one(), distinct.law_given_zero())
         with pytest.raises(EnumerationLimitError):
-            min_mass(over.law_given_one(), over.law_given_zero())
-        with pytest.raises(EnumerationLimitError):
-            optimal_error(over)
-        at_cap = ExpertPanel(psi=np.full(24, 0.7), eta=np.full(24, 0.8))
-        want = oracles.binomial_min_mass([24], [0.7], [1.0 - 0.8])
-        assert_allclose(optimal_error(at_cap), 0.5 * want, rtol=1e-12)
+            optimal_error(distinct)
+
+    def test_large_jury_needs_no_big_floats(self):
+        # 1001 experts at psi = eta = 0.6: one 1002-state factor whose
+        # binomial coefficients do not fit in a float
+        jury = ExpertPanel(psi=np.full(1001, 0.6), eta=np.full(1001, 0.6))
+        want = oracles.binomial_min_mass([1001], [0.6], [0.4])
+        assert want == 1.615959672368678e-10
+        assert_allclose(optimal_error(jury), 0.5 * want, rtol=1e-12)
+
+    def test_huge_cap_is_compared_without_building_it(self, rng):
+        P, Q = random_pair(rng, 16)
+        assert min_mass(P, Q, n_max=10**12) == min_mass(P, Q)
 
 
 class TestTvDistance:
@@ -321,7 +337,8 @@ class TestOptimalError:
         assert_allclose(optimal_error(panel), 0.15, atol=1e-12)
 
     def test_enumeration_limit_counts_folded_expert(self):
-        panel = ExpertPanel(psi=np.full(3, 0.9), eta=np.full(3, 0.8), p_y=0.7)
+        # the folded expert (0.7, 0.3) is a fourth distinct interior pair
+        panel = ExpertPanel(psi=[0.9, 0.8, 0.6], eta=[0.8, 0.75, 0.65], p_y=0.7)
         with pytest.raises(EnumerationLimitError):
             optimal_error(panel, n_max=3)
         optimal_error(panel, n_max=4)
