@@ -104,10 +104,9 @@ def _cmd_decide(args):
 
 
 def _cmd_error(args):
-    panel = load_panel(args.panel)
-    folded = fold_bias(panel)
     if args.method != "mc" and (args.trials is not None or args.seed is not None):
         raise _UsageError("--trials and --seed require --method mc")
+    folded = fold_bias(load_panel(args.panel))
     if args.method == "mc":
         trials = args.trials if args.trials is not None else 1_000_000
         seed = args.seed if args.seed is not None else 0

@@ -15,6 +15,8 @@ Every pair is first reduced exactly (see _reduce):
   straight into sum |P - Q|;
 - a coordinate where both laws are deterministic and differ means
   disjoint supports, and the result is exactly (0, 2).
+The same reduction stands in front of the Monte Carlo overlap
+estimator, which samples only the interior coordinates it leaves.
 When the product of the remaining factors has at most 2^12 points it is
 summed whole. Larger products meet in the middle (Horowitz and Sahni,
 1974): two halves of balanced table size, one sorted by log ratio and
@@ -116,30 +118,28 @@ def _point_mass_share(d: float, r: float, m: int) -> tuple[float, float]:
 
 
 def _reduce(p: np.ndarray, q: np.ndarray):
-    """Exact reduction of a pair of product laws to interior factors.
+    """Exact reduction of a pair of product laws to interior groups.
 
-    Returns None when the laws have disjoint supports. Otherwise returns
-    (factors, a, b, spill), with factors a list of (2, s) arrays as
-    _mass_table takes them, largest first, such that over the points y
-    of their product
+    Returns (groups, a, b, spill). groups lists one (p, q, m) per distinct
+    interior pair p != q, with m its number of coordinates, in order of
+    first appearance; P' and Q' are the product laws of those coordinates.
+    Over the points y of their product
         sum_x min(P, Q) = sum_y min(a P'(y), b Q'(y)),
         sum_x |P - Q| = spill + sum_y |a P'(y) - b Q'(y)|.
-    Coordinates with p_i == q_i drop out, the m > 1 coordinates sharing
-    one interior (p, q) pair become one (m + 1)-state binomial factor, and
-    a group with exactly one deterministic side peels into the scalars:
-    off its point mass that side is zero, so all the other side's mass
-    there is |P - Q|.
+    Coordinates with p_i == q_i drop out, and a group with exactly one
+    deterministic side peels into the scalars: off its point mass that
+    side is zero, so all the other side's mass there is |P - Q|. Disjoint
+    supports give no groups, a = b = 0 and spill = 2.
     """
     a = b = 1.0
     spill = 0.0
-    factors = []
-    single_p, single_q = [], []
+    groups = []
     for (pi, qi), m in Counter(zip(p.tolist(), q.tolist())).items():
         if pi == qi:
             continue
         p_det, q_det = pi in (0.0, 1.0), qi in (0.0, 1.0)
         if p_det and q_det:
-            return None
+            return [], 0.0, 0.0, 2.0
         if p_det:
             w, rest = _point_mass_share(pi, qi, m)
             spill += b * rest
@@ -148,14 +148,9 @@ def _reduce(p: np.ndarray, q: np.ndarray):
             w, rest = _point_mass_share(qi, pi, m)
             spill += a * rest
             a *= w
-        elif m == 1:
-            single_p.append(pi)
-            single_q.append(qi)
         else:
-            factors.append(np.array((_binomial(m, pi), _binomial(m, qi))))
-    factors.sort(key=lambda f: f.shape[1], reverse=True)
-    factors.extend(_bernoulli(single_p, single_q))
-    return factors, a, b, spill
+            groups.append((pi, qi, m))
+    return groups, a, b, spill
 
 
 def _halves(factors: list) -> tuple[list, list]:
@@ -228,17 +223,20 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
     """
     n_max = _integer(n_max, "n_max")
     _check_pair(P, Q)
-    reduced = _reduce(P.p, Q.p)
-    if reduced is None:
-        return 0.0, 2.0
-    factors, a, b, spill = reduced
-    size = math.prod(f.shape[1] for f in factors)
+    groups, a, b, spill = _reduce(P.p, Q.p)
+    size = math.prod(m + 1 for _, _, m in groups)
     # bit_length, not 1 << n_max: n_max is user input and may be huge
     if (size - 1).bit_length() > n_max:
         raise EnumerationLimitError(
             f"n = {P.n} reduces to a table of {size} points, more than 2^{n_max}: "
             f"exceeds the enumeration cap n_max = {n_max}"
         )
+    # one binomial factor per group of m > 1 coordinates, largest first,
+    # then the two-state factors of single coordinates in order
+    factors = sorted((np.array((_binomial(m, p), _binomial(m, q)))
+                      for p, q, m in groups if m > 1), key=lambda f: f.shape[1], reverse=True)
+    factors.extend(_bernoulli([p for p, _, m in groups if m == 1],
+                              [q for _, q, m in groups if m == 1]))
     if size <= 1 << _WHOLE_TABLE_N_MAX:
         tp, tq = _mass_table(factors, (a, b))
         return float(np.sum(np.minimum(tp, tq))), spill + float(np.sum(np.abs(tp - tq)))

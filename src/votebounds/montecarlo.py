@@ -28,13 +28,12 @@ interpreter lock.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer
-from .exact import _check_pair
+from .exact import _check_pair, _reduce
 from .rule import _scores, build_rule
 
 __all__ = ["BLOCK_SIZE", "SimulationResult", "simulate_error", "estimate_min_mass"]
@@ -175,29 +174,34 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
                       seed: int, *, workers: int = 1) -> tuple[float, float]:
     """Unbiased estimate of the minimum-mass overlap of two product laws.
 
-    Samples x from P and averages min(1, Q(x) / P(x)); the expectation is
-    exactly the mass of the pointwise minimum. Either law may touch the
-    boundary: outcomes with P(x) = 0 are never drawn, so their undefined
-    log terms are never selected, and outcomes with Q(x) = 0 contribute
-    ratio zero. Returns (estimate, std_error).
+    The pair is first reduced exactly, as for enumeration (see
+    exact._reduce), to scalars a and b and the interior coordinates left,
+    with product laws P' and Q'; the overlap is then
+    a E[min(1, (b / a) Q'(x) / P'(x))] for x drawn from P'. Each trial
+    draws x and scores the log ratio from log b - log a, so uninformative
+    and deterministic coordinates cost no draws and no sampled outcome
+    has a ratio of zero, though one below e^-745 still reads 0. Returns
+    (estimate, std_error), a times the sample mean and its standard error.
 
-    If some coordinate has disjoint supports, p_i and q_i being 0 and 1,
-    the overlap is exactly 0 and (0.0, 0.0) returns without sampling.
-    Otherwise the overlap is positive, and a sample whose ratios are all
-    zero still returns (0.0, 0.0) but warns with the rule-of-three bound.
+    When the reduction leaves nothing to sample, because the supports are
+    disjoint, no interior coordinate is left or a or b underflows to 0,
+    the exact overlap min(a, b) returns with std_error 0.
     """
     _check_pair(P, Q)
     trials, seed, workers = _check_run(trials, seed, workers)
-    if np.any(np.abs(P.p - Q.p) == 1.0):
-        return 0.0, 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio_one = np.log(Q.p) - np.log(P.p)
-        log_ratio_zero = np.log(1.0 - Q.p) - np.log(1.0 - P.p)
+    groups, a, b, _ = _reduce(P.p, Q.p)
+    if not groups or min(a, b) == 0.0:
+        return min(a, b), 0.0
+    p, q, counts = (np.array(column) for column in zip(*groups))
+    p, q = np.repeat(p, counts), np.repeat(q, counts)
+    log_ratio_one = np.log(q) - np.log(p)
+    log_ratio_zero = np.log(1.0 - q) - np.log(1.0 - p)
+    offset = math.log(b) - math.log(a)
 
-    def block_sums(b: int, m: int) -> tuple[float, float]:
-        _, x = _draw_block(seed, b, m, P.p)
-        log_lr = _scores(x, 0.0, log_ratio_one, log_ratio_zero)
-        ratio = np.minimum(1.0, np.exp(log_lr))
+    def block_sums(block: int, m: int) -> tuple[float, float]:
+        _, x = _draw_block(seed, block, m, p)
+        # min(1, ratio), clipped in the log domain so exp cannot overflow
+        ratio = np.exp(np.minimum(0.0, _scores(x, offset, log_ratio_one, log_ratio_zero)))
         return float(ratio.sum()), float(np.square(ratio).sum())
 
     total = 0.0
@@ -205,12 +209,6 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     for s1, s2 in _map_blocks(block_sums, trials, workers):
         total += s1
         total_sq += s2
-    if total == 0.0:
-        warnings.warn(
-            f"all {trials} sampled ratios Q(x) / P(x) are 0, so the estimate and "
-            f"its std_error read 0; the overlap is positive and, at 95% "
-            f"confidence, below 3/trials = {3 / trials:.3g} (rule of three)",
-            UserWarning, stacklevel=2)
     estimate = total / trials
     variance = max(0.0, total_sq / trials - estimate * estimate)
-    return estimate, math.sqrt(variance / trials)
+    return a * estimate, a * math.sqrt(variance / trials)

@@ -18,9 +18,9 @@ inequality it measures exercises the exact kernel. `per_row_bit_rows`
 checks a batch of vote vectors one `_check_bits` call per row, the
 behaviour `decide_batch`'s vectorized check must reproduce. The pair of
 whole-block Monte Carlo estimators at the end keep the block bodies that
-drew each block in one array, and share the stream keying and the
-scoring kernel with the library: they pin how a block is drawn and
-reduced, not the statistics.
+drew each block in one array, and share the stream keying, the scoring
+kernel and, for the overlap, the pair reduction with the library: they
+pin how a block is drawn and reduced, not the statistics.
 """
 
 import itertools
@@ -236,22 +236,29 @@ def whole_block_simulate_error(panel, trials, seed):
 
 
 def whole_block_estimate_min_mass(P, Q, trials, seed):
-    """estimate_min_mass drawing each block as one (m, n) array."""
+    """estimate_min_mass drawing each block of the reduced pair as one
+    (m, n) array, with the ratio clipped at 1 after exp, not before."""
+    from votebounds.exact import _reduce
     from votebounds.montecarlo import BLOCK_SIZE, _block_generator
     from votebounds.rule import _scores
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio_one = np.log(Q.p) - np.log(P.p)
-        log_ratio_zero = np.log(1.0 - Q.p) - np.log(1.0 - P.p)
+    groups, a, b, _ = _reduce(P.p, Q.p)
+    if not groups or min(a, b) == 0.0:
+        return min(a, b), 0.0
+    p = np.array([g[0] for g in groups for _ in range(g[2])])
+    q = np.array([g[1] for g in groups for _ in range(g[2])])
+    log_ratio_one = np.log(q) - np.log(p)
+    log_ratio_zero = np.log(1.0 - q) - np.log(1.0 - p)
+    offset = math.log(b) - math.log(a)
     total = 0.0
     total_sq = 0.0
-    for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        m = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
-        x = _block_generator(seed, b).random((m, P.n)) < P.p
-        log_lr = _scores(x, 0.0, log_ratio_one, log_ratio_zero)
+    for block in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        m = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
+        x = _block_generator(seed, block).random((m, p.size)) < p
+        log_lr = _scores(x, offset, log_ratio_one, log_ratio_zero)
         ratio = np.minimum(1.0, np.exp(log_lr))
         total += float(ratio.sum())
         total_sq += float(np.square(ratio).sum())
     estimate = total / trials
     variance = max(0.0, total_sq / trials - estimate * estimate)
-    return estimate, math.sqrt(variance / trials)
+    return a * estimate, a * math.sqrt(variance / trials)

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 
 import pytest
 from numpy.testing import assert_allclose
@@ -187,28 +186,25 @@ class TestError:
         assert payload["std_error"] > 0.0
         assert abs(payload["error"] - 0.1) <= 5.0 * payload["std_error"]
 
-    @pytest.mark.parametrize("psi, eta, warns", [
-        # overlap 1e-5, which 20000 draws never reach: a warning on stderr
+    @pytest.mark.parametrize("psi, eta, positive", [
+        # the reduction leaves no interior coordinate: overlap 1e-5, exactly
         ([0.99999, 0.5, 0.5], [1.0, 0.5, 0.5], True),
-        # disjoint supports on the first expert: overlap 0, nothing to warn
+        # disjoint supports on the first expert: overlap 0
         ([1.0, 0.5, 0.5], [1.0, 0.5, 0.5], False),
     ])
     def test_mc_zero_estimate_keeps_stdout_and_exit_code(self, tmp_path, capsys,
-                                                         psi, eta, warns):
+                                                         psi, eta, positive):
+        # nothing is sampled, so the exact overlap comes back, with no warning
         path = write_panel(tmp_path, psi=psi, eta=eta)
         args = ["error", path, "--method", "mc", "--trials", "20000", "--seed", "1"]
-        # stdout as sampling all 20000 draws gives it: the early return and
-        # the warning on stderr must not change it
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(args) == 0
-            assert capsys.readouterr().out == "0 (std_error 0)\n"
-            assert main(args + ["--format", "json"]) == 0
-            assert capsys.readouterr().out == (
-                '{"error": 0.0, "std_error": 0.0, "method": "mc", '
-                '"trials": 20000, "seed": 1, "n": 3}\n'
-            )
-        assert [w.category for w in caught] == [UserWarning] * (2 if warns else 0)
+        error = ("5e-06", "4.99999999998e-06") if positive else ("0", "0.0")
+        assert main(args) == 0
+        assert capsys.readouterr() == (f"{error[0]} (std_error 0)\n", "")
+        assert main(args + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            f'{{"error": {error[1]}, "std_error": 0.0, "method": "mc", '
+            '"trials": 20000, "seed": 1, "n": 3}\n'
+        )
 
     def test_trials_without_mc_is_usage_error(self, counterexample_path, capsys):
         assert main(["error", counterexample_path, "--trials", "1000"]) == 2
@@ -216,6 +212,11 @@ class TestError:
 
     def test_seed_without_mc_is_usage_error(self, counterexample_path):
         assert main(["error", counterexample_path, "--seed", "3"]) == 2
+
+    def test_usage_error_comes_before_reading_the_panel(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["error", missing, "--trials", "5"]) == 2
+        assert "usage error" in capsys.readouterr().err
 
     def test_n_max_flag_lowers_cap(self, distinct_path):
         assert main(["error", distinct_path, "--n-max", "1"]) == 1

@@ -145,8 +145,8 @@ class TestEstimateMinMass:
         assert abs(est - exact) <= 4.0 * se
 
     def test_boundary_sampling_law_matches_min_mass(self):
-        # P at 0 and 1 is sampled deterministically; the last two
-        # coordinates have p_i == q_i on the boundary
+        # P at 0 and 1 peels into the scalar b; the last two coordinates
+        # have p_i == q_i on the boundary and drop out
         pairs = [
             ([1.0, 0.5], [0.5, 0.5]),
             ([1.0, 0.0, 0.4, 1.0, 0.0], [0.6, 0.3, 0.8, 1.0, 0.0]),
@@ -158,7 +158,7 @@ class TestEstimateMinMass:
             assert abs(est - min_mass(P, Q)) <= 4.0 * se
 
     def test_boundary_reference_law_allowed(self):
-        # Q may put zero mass on sampled outcomes; ratio clips to 0 there
+        # Q at 1 peels into the scalar a, which is the whole overlap
         est, se = estimate_min_mass(
             ProductBernoulli([0.5]), ProductBernoulli([1.0]), trials=100_000, seed=4
         )
@@ -182,17 +182,45 @@ class TestEstimateMinMass:
             warnings.simplefilter("error")
             assert estimate_min_mass(P, Q, trials=1000, seed=0) == (0.0, 0.0)
 
-    def test_all_zero_sample_warns_with_rule_of_three(self):
-        # overlap 1e-5: 20000 draws from P never reach an outcome with Q(x) > 0
+    def test_emptied_pair_returns_exact_overlap(self):
+        # overlap 1e-5: the reduction leaves no interior coordinate, so the
+        # overlap is the scalar a, with nothing to sample
         P = ProductBernoulli([0.99999, 0.5, 0.5])
         Q = ProductBernoulli([0.0, 0.5, 0.5])
-        assert min_mass(P, Q) > 0.0
-        with pytest.warns(UserWarning, match=r"3/trials = 0\.00015 \(rule of three\)"):
-            assert estimate_min_mass(P, Q, trials=20_000, seed=1) == (0.0, 0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est, se = estimate_min_mass(P, Q, trials=400_000, seed=1)
-        assert est > 0.0 and se > 0.0
+        assert estimate_min_mass(P, Q, trials=20_000, seed=1) == (min_mass(P, Q), 0.0)
+
+    def test_underflowed_scalar_returns_zero(self):
+        # 0.4^1100 underflows, so b is 0.0 and so is the exact overlap
+        P = ProductBernoulli([1.0] * 1100 + [0.6])
+        Q = ProductBernoulli([0.4] * 1100 + [0.3])
+        assert min_mass(P, Q) == 0.0
+        assert estimate_min_mass(P, Q, trials=1000, seed=0) == (0.0, 0.0)
+
+    def test_subnormal_scalar_does_not_overflow(self):
+        # a = 0.5^1060 is subnormal, so scores start near log b - log a = 735
+        # and every ratio clips to 1; exp of the unclipped score would overflow
+        P = ProductBernoulli([0.5] * 1060 + [0.6])
+        Q = ProductBernoulli([0.0] * 1060 + [0.3])
+        exact = min_mass(P, Q)
+        assert 8.09e-320 < exact < 8.10e-320
+        est, se = estimate_min_mass(P, Q, trials=1000, seed=0)
+        assert est == pytest.approx(exact, rel=1e-3)
+        assert se == 0.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_uninformative_coordinates_leave_the_stream_unchanged(self, rng, workers):
+        # p_i == q_i coordinates, interior or at 0 or 1, drop out in the
+        # reduction, wherever they sit in the pair
+        p = rng.uniform(0.05, 0.95, 6)
+        q = rng.uniform(0.05, 0.95, 6)
+        trials = BLOCK_SIZE + 7
+        reference = estimate_min_mass(ProductBernoulli(p), ProductBernoulli(q),
+                                      trials, 3, workers=workers)
+        for extra in ([0.0], [1.0, 0.3], [0.5, 0.0, 1.0, 0.5]):
+            where = rng.integers(0, p.size + 1, len(extra))
+            P = ProductBernoulli(np.insert(p, where, extra))
+            Q = ProductBernoulli(np.insert(q, where, extra))
+            assert estimate_min_mass(P, Q, trials, 3, workers=workers) == reference
 
     def test_deterministic_across_worker_counts(self):
         p = ProductBernoulli([0.3, 0.6, 0.8])
@@ -303,7 +331,6 @@ def _chunk_panel(n, kind):
 class TestChunkedBlocks:
     # Blocks are drawn ROWS trials at a time; the results must equal those
     # of drawing each block as one array, bit for bit.
-    @pytest.mark.filterwarnings("ignore:all 1 sampled ratios:UserWarning")
     @pytest.mark.parametrize("kind", ["plain", "biased", "boundary"])
     @pytest.mark.parametrize("trials", [1, ROWS - 1, ROWS, ROWS + 1, BLOCK_SIZE,
                                         BLOCK_SIZE + 1, 3 * BLOCK_SIZE - 5])
