@@ -104,15 +104,19 @@ def _cmd_decide(args):
 
 
 def _cmd_error(args):
-    if args.method != "mc" and (args.trials is not None or args.seed is not None):
-        raise _UsageError("--trials and --seed require --method mc")
+    if args.method == "mc":
+        if args.n_max is not None:
+            raise _UsageError("--n-max requires --method exact")
+    elif args.trials is not None or args.seed is not None or args.threads is not None:
+        raise _UsageError("--trials, --seed and --threads require --method mc")
     folded = fold_bias(load_panel(args.panel))
     if args.method == "mc":
         trials = args.trials if args.trials is not None else 1_000_000
         seed = args.seed if args.seed is not None else 0
+        workers = args.threads if args.threads is not None else 1
         est, se = estimate_min_mass(
             folded.law_given_one(), folded.law_given_zero(),
-            trials, seed, workers=args.threads,
+            trials, seed, workers=workers,
         )
         value, std_error = 0.5 * est, 0.5 * se
         payload = {
@@ -120,7 +124,8 @@ def _cmd_error(args):
             "trials": trials, "seed": seed, "n": folded.n,
         }
         return payload, f"{_fmt(value, 6)} (std_error {_fmt(std_error, 6)})"
-    value = optimal_error(folded, n_max=args.n_max)
+    n_max = args.n_max if args.n_max is not None else DEFAULT_N_MAX
+    value = optimal_error(folded, n_max=n_max)
     return {"error": value, "method": "exact", "n": folded.n}, _fmt(value, 6)
 
 
@@ -169,17 +174,16 @@ def _add_format(sub) -> None:
                      help="output format (default human)")
 
 
-def _add_threads(sub) -> None:
-    sub.add_argument("--threads", type=_positive_int, default=1, metavar="T",
-                     help="Monte Carlo worker threads, used by simulate and by error "
-                          "--method mc (default 1)")
+def _add_threads(sub, default=1, only="") -> None:
+    sub.add_argument("--threads", type=_positive_int, default=default, metavar="T",
+                     help=f"Monte Carlo worker threads ({only}default 1)")
 
 
-def _add_n_max(sub) -> None:
+def _add_n_max(sub, default=DEFAULT_N_MAX, only="") -> None:
     sub.add_argument("--n-max", dest="n_max", type=_positive_int,
-                     default=DEFAULT_N_MAX, metavar="K",
+                     default=default, metavar="K",
                      help="enumeration cap: refuse a panel whose reduced table has "
-                          f"more than 2^K points (default {DEFAULT_N_MAX})")
+                          f"more than 2^K points ({only}default {DEFAULT_N_MAX})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,10 +215,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Monte Carlo trials (mc only, default 1000000)")
     sub.add_argument("--seed", type=int, default=None, metavar="S",
                      help="Monte Carlo seed (mc only, default 0)")
-    _add_n_max(sub)
-    _add_threads(sub)
+    # None marks a flag not given, which --method must allow
+    _add_n_max(sub, None, "exact only, ")
+    _add_threads(sub, None, "mc only, ")
     _add_format(sub)
-    sub.set_defaults(handler=_cmd_error, remedy="pass --method mc to estimate instead")
+    sub.set_defaults(handler=_cmd_error,
+                     remedy="pass --method mc, without --n-max, to estimate instead")
 
     sub = commands.add_parser("bounds", help="evaluate every applicable bound")
     sub.add_argument("panel", help="path to a JSON panel file")

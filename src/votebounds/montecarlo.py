@@ -13,16 +13,22 @@ order, so the worker count never changes the result. The worker count is
 the workers argument, 1 by default; the two estimators here are the only
 code that takes one.
 
-A block is drawn _CHUNK_ROWS trials at a time into one reused buffer of
-uniforms, and each chunk is thresholded straight into the block's bool
-votes, kept column-major so that the scoring kernel reads contiguous
-columns. Consecutive draws continue the block's stream, so the votes are
-exactly those of one whole-block draw and every result is the same.
-Working memory per worker is O(_CHUNK_ROWS * n) floats plus the block's
-BLOCK_SIZE * n bool votes, an eighth of a whole-block float draw. Each
-block is still scored in one kernel call: scoring chunk by chunk would
-multiply the short numpy calls, between which threads contend for the
-interpreter lock.
+A block is drawn _CHUNK_ROWS trials at a time as raw 64-bit Philox
+words. Each chunk is compared row by row, reading the words in order,
+and its bool votes are copied transposed into the block's votes, kept
+column-major so that the scoring kernel reads contiguous columns; the
+bool copy costs less than comparing the words in column order.
+A vote at rate p is 1 when (w >> 11) < ceil(p * 2^53) for its word w.
+Generator.random would turn the same word into the uniform
+(w >> 11) * 2^-53, and that uniform lies below p exactly when the
+integer comparison holds, so the votes, the streams and every result
+are those of thresholding random() uniforms, without building a float
+per vote. Consecutive draws continue the block's stream, so the votes
+are exactly those of one whole-block draw. Working memory per worker is
+O(_CHUNK_ROWS * n) words plus the block's BLOCK_SIZE * n bool votes, an
+eighth of a whole-block draw. Each block is still scored in one kernel
+call: scoring chunk by chunk would multiply the short numpy calls,
+between which threads contend for the interpreter lock.
 """
 
 from __future__ import annotations
@@ -51,17 +57,32 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _thresholds(p) -> np.ndarray:
+    """ceil(p * 2^53) as uint64: a word w of the block's stream is a 1 vote
+    at rate p exactly when (w >> 11) < ceil(p * 2^53).
+
+    Generator.random returns (w >> 11) * 2^-53 for each word w of Philox,
+    and for an integer j, j * 2^-53 < p holds exactly when j < ceil(p * 2^53).
+    Scaling by 2^53 and ceil are exact in floats, so rate 0 gets threshold
+    0 (never a 1 vote) and rate 1 gets 2^53 (always a 1 vote).
+    """
+    return np.ceil(np.asarray(p, dtype=float) * 2.0**53).astype(np.uint64)
+
+
 def _draw_block(seed: int, block: int, m: int, given_one: np.ndarray,
                 given_zero: np.ndarray | None = None, p_y: float | None = None
                 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Draw the m trials of one block, _CHUNK_ROWS trials at a time.
 
-    Each trial is one row of uniforms u from the block's stream. With a
-    label prior p_y, column 0 draws the label (u < p_y) and vote i is 1
-    with probability given_one[i] if the label is 1, else given_zero[i];
-    without one, every column is a vote, 1 with probability given_one[i].
-    Consecutive random(out=...) calls continue the stream, so the chunks
-    hold exactly the draws of one whole-block call.
+    Each trial is one row of raw 64-bit words from the block's stream,
+    shifted right by 11 and compared with integer thresholds (see
+    _thresholds), which gives exactly the votes of comparing
+    Generator.random() uniforms with the rates. With a label prior p_y,
+    column 0 draws the label (rate p_y) and vote i is 1 at rate
+    given_one[i] if the label is 1, else given_zero[i]; without one, every
+    column is a vote at rate given_one[i]. Consecutive random_raw calls
+    continue the stream, so the chunks hold exactly the words of one
+    whole-block draw.
 
     Returns the m bool labels (None without p_y) and the (m, n) bool votes
     as a column-major view, so that _scores reads contiguous columns.
@@ -69,26 +90,30 @@ def _draw_block(seed: int, block: int, m: int, given_one: np.ndarray,
     rows = min(_CHUNK_ROWS, m)
     n = given_one.size
     lead = 0 if p_y is None else 1
-    g = _block_generator(seed, block)
-    u = np.empty((rows, lead + n))
+    words = _block_generator(seed, block).bit_generator
     votes_t = np.empty((n, m), dtype=bool)
+    chunk = np.empty((rows, n), dtype=bool)
     if p_y is None:
         y = None
+        vote_thresholds = _thresholds(given_one)
     else:
         y = np.empty(m, dtype=bool)
-        threshold = np.empty((n, rows))
-        # column 0 for label 0, column 1 for label 1
-        pairs = np.stack([given_zero, given_one], axis=1)
+        label_threshold = _thresholds(p_y)
+        threshold = np.empty((rows, n), dtype=np.uint64)
+        # row 0 for label 0, row 1 for label 1
+        pairs = _thresholds(np.stack([given_zero, given_one]))
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         k = hi - lo
-        g.random(out=u[:k])
+        w = words.random_raw((k, lead + n))
+        w >>= np.uint64(11)
         if p_y is None:
-            np.less(u[:k].T, given_one[:, None], out=votes_t[:, lo:hi])
+            np.less(w, vote_thresholds, out=chunk[:k])
         else:
-            np.less(u[:k, 0], p_y, out=y[lo:hi])
-            pairs.take(y[lo:hi].view(np.uint8), axis=1, out=threshold[:, :k], mode="clip")
-            np.less(u[:k, 1:].T, threshold[:, :k], out=votes_t[:, lo:hi])
+            np.less(w[:, 0], label_threshold, out=y[lo:hi])
+            pairs.take(y[lo:hi].view(np.uint8), axis=0, out=threshold[:k], mode="clip")
+            np.less(w[:, 1:], threshold[:k], out=chunk[:k])
+        votes_t[:, lo:hi] = chunk[:k].T
     return y, votes_t.T
 
 

@@ -77,10 +77,24 @@ def count_masses(m, p):
     numerators, denominator = [], 1
     for mt, pt in zip(m, p):
         a, b = float(pt).as_integer_ratio()
-        numerators.append([math.comb(mt, k) * a**k * (b - a) ** (mt - k)
-                           for k in range(mt + 1)])
+        numerators.append(count_numerators(mt, a, b))
         denominator *= b**mt
     return [math.prod(ns) / denominator for ns in itertools.product(*numerators)]
+
+
+def count_numerators(m, a, b):
+    """[comb(m, k) a^k (b - a)^(m - k) for k in 0..m], the exact integers.
+
+    Built by N_(k+1) = N_k (m - k) a / ((k + 1) (b - a)), whose division
+    is exact because both sides are integers. At a = b (rate 1) the ratio
+    is undefined, and the direct form gives [0, ..., 0, a^m].
+    """
+    if a == b:
+        return [math.comb(m, k) * a**k * (b - a) ** (m - k) for k in range(m + 1)]
+    row = [(b - a) ** m]
+    for k in range(m):
+        row.append(row[-1] * (m - k) * a // ((k + 1) * (b - a)))
+    return row
 
 
 def binomial_min_mass(m, p, q):

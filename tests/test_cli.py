@@ -213,6 +213,16 @@ class TestError:
     def test_seed_without_mc_is_usage_error(self, counterexample_path):
         assert main(["error", counterexample_path, "--seed", "3"]) == 2
 
+    def test_threads_without_mc_is_usage_error(self, counterexample_path, capsys):
+        assert main(["error", counterexample_path, "--threads", "4"]) == 2
+        assert capsys.readouterr() == (
+            "", "usage error: --trials, --seed and --threads require --method mc\n")
+
+    def test_n_max_with_mc_is_usage_error(self, counterexample_path, capsys):
+        argv = ["error", counterexample_path, "--method", "mc", "--trials", "1000"]
+        assert main(argv + ["--n-max", "30"]) == 2
+        assert capsys.readouterr() == ("", "usage error: --n-max requires --method exact\n")
+
     def test_usage_error_comes_before_reading_the_panel(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
         assert main(["error", missing, "--trials", "5"]) == 2
@@ -367,27 +377,31 @@ class TestExitMatrix:
         assert "votebounds" in capsys.readouterr().out
 
     def test_threads_flag_accepted(self, counterexample_path, capsys):
-        assert main(["error", counterexample_path, "--threads", "2"]) == 0
-        assert capsys.readouterr().out.strip() == "0.005"
+        argv = ["error", counterexample_path, "--method", "mc", "--trials", "1000"]
+        assert main(argv) == 0
+        one_thread = capsys.readouterr().out
+        assert main(argv + ["--threads", "2"]) == 0
+        assert capsys.readouterr().out == one_thread
 
     def test_zero_threads_is_usage_error(self, counterexample_path):
         assert main(["error", counterexample_path, "--threads", "0"]) == 2
 
-    @pytest.mark.parametrize("argv, remedy, fixed", [
-        (["error", "PANEL"], "--method mc", ["--method", "mc", "--trials", "1000"]),
-        (["bounds", "PANEL", "--with-exact"], "--with-exact", None),
-        (["tv", "--p", "0.6,0.3", "--q", "0.4,0.5"], "--n-max", ["--n-max", "2"]),
+    @pytest.mark.parametrize("argv, remedy, retry", [
+        (["error", "PANEL"], "--method mc, without --n-max",
+         ["error", "PANEL", "--method", "mc", "--trials", "1000"]),
+        (["bounds", "PANEL", "--with-exact"], "--with-exact", ["bounds", "PANEL", "--n-max", "1"]),
+        (["tv", "--p", "0.6,0.3", "--q", "0.4,0.5"], "--n-max",
+         ["tv", "--p", "0.6,0.3", "--q", "0.4,0.5", "--n-max", "2"]),
     ], ids=["error", "bounds", "tv"])
     def test_over_cap_message_names_a_remedy_that_runs(self, distinct_path, capsys,
-                                                       argv, remedy, fixed):
-        argv = [distinct_path if a == "PANEL" else a for a in argv]
+                                                       argv, remedy, retry):
+        argv, retry = ([distinct_path if a == "PANEL" else a for a in v] for v in (argv, retry))
         assert main(argv + ["--n-max", "1"]) == 1
         err = capsys.readouterr().err
         assert "n = 2 reduces to a table of 4 points, more than 2^1" in err
         assert "exceeds the enumeration cap n_max = 1" in err
         assert remedy in err
         # the remedy as the message gives it: mc, no --with-exact, a higher cap
-        retry = argv + ["--n-max", "1"] + fixed if fixed else argv[:-1] + ["--n-max", "1"]
         assert main(retry) == 0
 
 

@@ -169,6 +169,13 @@ class TestPanelReduction:
         assert_allclose(min_mass(P, Q), oracles.binomial_min_mass(counts, p, q), rtol=1e-12)
         assert_allclose(tv_distance(P, Q), oracles.binomial_tv(counts, p, q), rtol=1e-12)
 
+    @pytest.mark.parametrize("rate", [0.0, 5e-324, 0.1, 0.6, 1.0 - 2.0**-53, 1.0])
+    def test_binomial_oracle_recurrence_gives_the_direct_integers(self, rate):
+        a, b = rate.as_integer_ratio()
+        for m in range(61):
+            assert oracles.count_numerators(m, a, b) == [
+                math.comb(m, k) * a**k * (b - a) ** (m - k) for k in range(m + 1)]
+
     def test_disjoint_coordinate_is_exact(self, rng):
         p, q = rng.uniform(0.1, 0.9, 16), rng.uniform(0.1, 0.9, 16)
         p[5], q[5] = 1.0, 0.0

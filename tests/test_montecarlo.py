@@ -365,3 +365,50 @@ class TestChunkedBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+
+# rates at the rounding edges of (w >> 11) * 2^-53 < p: 0, the smallest
+# subnormal, below one step, one step, 3 steps and its neighbours, 0.5,
+# one step below 1, and 1
+EDGE_RATES = np.array([0.0, 5e-324, 2.0**-60, 2.0**-53, np.nextafter(3 * 2.0**-53, 0.0),
+                       3 * 2.0**-53, np.nextafter(3 * 2.0**-53, 1.0), 0.5,
+                       1.0 - 2.0**-53, 1.0])
+
+
+class TestRawWordVotes:
+    # _draw_block compares raw Philox words with integer thresholds; the
+    # votes must be those of comparing Generator.random() with the rates,
+    # which also pins that random() is (w >> 11) * 2^-53 on this numpy
+    @pytest.mark.parametrize("trials", [1, ROWS + 1, BLOCK_SIZE - 3])
+    def test_votes_equal_thresholded_uniforms(self, trials):
+        n = EDGE_RATES.size
+        given_one = EDGE_RATES
+        given_zero = np.roll(EDGE_RATES[::-1], 3)
+        for block, p_y in enumerate([0.1, 0.3, 0.5, 0.7, 0.9]):
+            y, x = montecarlo._draw_block(7, block, trials, given_one, given_zero, p_y)
+            u = montecarlo._block_generator(7, block).random((trials, n + 1))
+            y_ref = u[:, 0] < p_y
+            assert np.array_equal(y, y_ref)
+            assert np.array_equal(x, u[:, 1:] < np.where(y_ref[:, None], given_one, given_zero))
+        _, x = montecarlo._draw_block(8, 0, trials, given_one)
+        assert np.array_equal(x, montecarlo._block_generator(8, 0).random((trials, n)) < given_one)
+
+    def test_thresholds_split_the_words_where_uniforms_cross_the_rate(self):
+        # every 53-bit word j next to its threshold lands on the same side
+        # of it as the uniform j * 2^-53 lands of the rate
+        for p, t in zip(EDGE_RATES, montecarlo._thresholds(EDGE_RATES)):
+            for j in range(max(int(t) - 2, 0), min(int(t) + 2, 1 << 53)):
+                assert (j < t) == (j * 2.0**-53 < p)
+        assert montecarlo._thresholds(EDGE_RATES)[[0, -1]].tolist() == [0, 1 << 53]
+
+    def test_rate_equal_to_the_drawn_uniform_votes_zero(self):
+        # u < p is false at p = u and true one float above it, for the
+        # label and for the votes
+        u = montecarlo._block_generator(9, 0).random(17)
+        above = np.nextafter(u, 1.0)
+        for rates, vote in ((u, False), (above, True)):
+            _, x = montecarlo._draw_block(9, 0, 1, rates)
+            assert np.all(x == vote)
+            for p_y, label in ((u[0], False), (above[0], True)):
+                y, x = montecarlo._draw_block(9, 0, 1, rates[1:], rates[1:], p_y)
+                assert y.tolist() == [label] and np.all(x == vote)
