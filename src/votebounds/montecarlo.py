@@ -13,22 +13,33 @@ order, so the worker count never changes the result. The worker count is
 the workers argument, 1 by default; the two estimators here are the only
 code that takes one.
 
-A block is drawn _CHUNK_ROWS trials at a time as raw 64-bit Philox
-words. Each chunk is compared row by row, reading the words in order,
-and its bool votes are copied transposed into the block's votes, kept
-column-major so that the scoring kernel reads contiguous columns; the
-bool copy costs less than comparing the words in column order.
+A block is drawn and scored _TILE_ROWS trials at a time. Each tile is
+drawn _CHUNK_ROWS trials at a time as raw 64-bit Philox words. Each chunk
+is compared row by row, reading the words in order, and its bool votes
+are copied transposed into the tile's votes, kept column-major so that
+the scoring kernel reads contiguous columns; the bool copy costs less
+than comparing the words in column order.
 A vote at rate p is 1 when (w >> 11) < ceil(p * 2^53) for its word w.
 Generator.random would turn the same word into the uniform
 (w >> 11) * 2^-53, and that uniform lies below p exactly when the
 integer comparison holds, so the votes, the streams and every result
 are those of thresholding random() uniforms, without building a float
-per vote. Consecutive draws continue the block's stream, so the votes
-are exactly those of one whole-block draw. Working memory per worker is
-O(_CHUNK_ROWS * n) words plus the block's BLOCK_SIZE * n bool votes, an
-eighth of a whole-block draw. Each block is still scored in one kernel
-call: scoring chunk by chunk would multiply the short numpy calls,
-between which threads contend for the interpreter lock.
+per vote. Consecutive draws continue the block's stream, so the tiles
+hold exactly the votes of one whole-block draw.
+
+Each tile is scored as soon as it is drawn. simulate_error adds up
+integer mismatch counts, and estimate_min_mass writes each tile's
+clipped ratios into one block-length float vector, which it sums once
+and, squared in place, once more; so every float sum is that of scoring
+the whole block in one call. Working memory per worker is about 33 KiB
+per expert for simulate_error: the chunk's words and per-trial
+thresholds (8 KiB each), its bool votes (1 KiB) and the tile's (16 KiB);
+that is about 2 MiB at n = 64 and 32 MiB at n = 1001. estimate_min_mass
+keeps no per-trial thresholds but holds the block's 512 KiB ratio
+vector. A whole block of bool votes alone would take 64 KiB per expert.
+Tiles are no smaller than 2^14 trials: each tile costs 2n short numpy
+calls, between which threads contend for the interpreter lock, and
+scoring 2048-trial chunks was measurably slower on two workers.
 """
 
 from __future__ import annotations
@@ -48,8 +59,12 @@ BLOCK_SIZE = 1 << 16
 
 _MASK64 = (1 << 64) - 1
 
-# trials drawn and thresholded at a time; divides BLOCK_SIZE
+# trials drawn and thresholded at a time; divides _TILE_ROWS
 _CHUNK_ROWS = 1 << 10
+
+# trials scored at a time; divides BLOCK_SIZE, and no smaller than 2^14
+# (see the module docstring)
+_TILE_ROWS = 1 << 14
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -69,52 +84,54 @@ def _thresholds(p) -> np.ndarray:
     return np.ceil(np.asarray(p, dtype=float) * 2.0**53).astype(np.uint64)
 
 
-def _draw_block(seed: int, block: int, m: int, given_one: np.ndarray,
-                given_zero: np.ndarray | None = None, p_y: float | None = None
-                ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Draw the m trials of one block, _CHUNK_ROWS trials at a time.
+def _draw_block(seed: int, block: int, m: int, thresholds: np.ndarray):
+    """Yield the m trials of one block in order, _TILE_ROWS trials at a time.
 
     Each trial is one row of raw 64-bit words from the block's stream,
-    shifted right by 11 and compared with integer thresholds (see
-    _thresholds), which gives exactly the votes of comparing
-    Generator.random() uniforms with the rates. With a label prior p_y,
-    column 0 draws the label (rate p_y) and vote i is 1 at rate
-    given_one[i] if the label is 1, else given_zero[i]; without one, every
-    column is a vote at rate given_one[i]. Consecutive random_raw calls
-    continue the stream, so the chunks hold exactly the words of one
+    shifted right by 11 and compared with the integer thresholds from
+    _thresholds, which gives exactly the votes of comparing
+    Generator.random() uniforms with the rates. With (n,) thresholds,
+    every column is a vote, 1 below thresholds[i]. With a (2, 1 + n)
+    table, column 0 draws the label y, 1 below thresholds[0, 0], which
+    both rows share, and the trial's whole row of words is then compared
+    with row y of the table, in one contiguous compare. The words are
+    drawn _CHUNK_ROWS rows at a time; consecutive random_raw calls
+    continue the stream, so the tiles hold exactly the words of one
     whole-block draw.
 
-    Returns the m bool labels (None without p_y) and the (m, n) bool votes
-    as a column-major view, so that _scores reads contiguous columns.
+    Each tile is (y, x): its bool labels (None without a label column)
+    and its (k, n) bool votes as a column-major view, so that _scores
+    reads contiguous columns. Both are views of buffers that the next
+    tile overwrites, so score a tile before drawing the next.
     """
     rows = min(_CHUNK_ROWS, m)
-    n = given_one.size
-    lead = 0 if p_y is None else 1
+    tile = min(_TILE_ROWS, m)
+    width = thresholds.shape[-1]
+    lead = 1 if thresholds.ndim == 2 else 0
     words = _block_generator(seed, block).bit_generator
-    votes_t = np.empty((n, m), dtype=bool)
-    chunk = np.empty((rows, n), dtype=bool)
-    if p_y is None:
-        y = None
-        vote_thresholds = _thresholds(given_one)
+    votes_t = np.empty((width - lead, tile), dtype=bool)
+    chunk = np.empty((rows, width), dtype=bool)
+    if lead:
+        y = np.empty(tile, dtype=bool)
+        threshold = np.empty((rows, width), dtype=np.uint64)
     else:
-        y = np.empty(m, dtype=bool)
-        label_threshold = _thresholds(p_y)
-        threshold = np.empty((rows, n), dtype=np.uint64)
-        # row 0 for label 0, row 1 for label 1
-        pairs = _thresholds(np.stack([given_zero, given_one]))
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        k = hi - lo
-        w = words.random_raw((k, lead + n))
-        w >>= np.uint64(11)
-        if p_y is None:
-            np.less(w, vote_thresholds, out=chunk[:k])
-        else:
-            np.less(w[:, 0], label_threshold, out=y[lo:hi])
-            pairs.take(y[lo:hi].view(np.uint8), axis=0, out=threshold[:k], mode="clip")
-            np.less(w[:, 1:], threshold[:k], out=chunk[:k])
-        votes_t[:, lo:hi] = chunk[:k].T
-    return y, votes_t.T
+        y = None
+    for start in range(0, m, tile):
+        size = min(tile, m - start)
+        for lo in range(0, size, rows):
+            hi = min(lo + rows, size)
+            k = hi - lo
+            w = words.random_raw((k, width))
+            w >>= np.uint64(11)
+            if y is None:
+                np.less(w, thresholds, out=chunk[:k])
+            else:
+                np.less(w[:, 0], thresholds[0, 0], out=y[lo:hi])
+                thresholds.take(y[lo:hi].view(np.uint8), axis=0, out=threshold[:k], mode="clip")
+                np.less(w, threshold[:k], out=chunk[:k])
+            votes_t[:, lo:hi] = chunk[:k, lead:].T
+            del w  # free the words before the next chunk's are drawn
+        yield (None if y is None else y[:size]), votes_t[:, :size].T
 
 
 def _check_run(trials, seed, workers) -> tuple[int, int, int]:
@@ -180,11 +197,13 @@ def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
     """
     trials, seed, workers = _check_run(trials, seed, workers)
     rule = build_rule(panel)
-    vote_one_prob_given_zero = 1.0 - panel.eta
+    # row y: the label's threshold, then those of the votes given label y
+    thresholds = _thresholds([np.r_[panel.p_y, 1.0 - panel.eta],
+                              np.r_[panel.p_y, panel.psi]])
 
     def block_count(b: int, m: int) -> int:
-        y, x = _draw_block(seed, b, m, panel.psi, vote_one_prob_given_zero, panel.p_y)
-        return int(np.count_nonzero((rule._score_rows(x) >= 0.0) != y))
+        return sum(int(np.count_nonzero((rule._score_rows(x) >= 0.0) != y))
+                   for y, x in _draw_block(seed, b, m, thresholds))
 
     p_hat = sum(_map_blocks(block_count, trials, workers)) / trials
     return SimulationResult(
@@ -222,12 +241,20 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     log_ratio_one = np.log(q) - np.log(p)
     log_ratio_zero = np.log(1.0 - q) - np.log(1.0 - p)
     offset = math.log(b) - math.log(a)
+    thresholds = _thresholds(p)
 
     def block_sums(block: int, m: int) -> tuple[float, float]:
-        _, x = _draw_block(seed, block, m, p)
-        # min(1, ratio), clipped in the log domain so exp cannot overflow
-        ratio = np.exp(np.minimum(0.0, _scores(x, offset, log_ratio_one, log_ratio_zero)))
-        return float(ratio.sum()), float(np.square(ratio).sum())
+        # each tile writes its slice of one block-length vector, so both
+        # sums run over the whole block, in the order of one kernel call
+        ratio = np.empty(m)
+        lo = 0
+        for _, x in _draw_block(seed, block, m, thresholds):
+            score = _scores(x, offset, log_ratio_one, log_ratio_zero)
+            # min(1, ratio), clipped in the log domain so exp cannot overflow
+            np.exp(np.minimum(0.0, score, out=score), out=ratio[lo:lo + score.size])
+            lo += score.size
+        total = float(ratio.sum())
+        return total, float(np.square(ratio, out=ratio).sum())
 
     total = 0.0
     total_sq = 0.0

@@ -313,6 +313,7 @@ class TestRecordedStreams:
 
 
 ROWS = montecarlo._CHUNK_ROWS
+TILE = montecarlo._TILE_ROWS
 
 
 def _chunk_panel(n, kind):
@@ -329,11 +330,13 @@ def _chunk_panel(n, kind):
 
 
 class TestChunkedBlocks:
-    # Blocks are drawn ROWS trials at a time; the results must equal those
-    # of drawing each block as one array, bit for bit.
+    # Blocks are drawn ROWS trials at a time and scored TILE trials at a
+    # time; the results must equal those of drawing and scoring each block
+    # as one array, bit for bit.
     @pytest.mark.parametrize("kind", ["plain", "biased", "boundary"])
-    @pytest.mark.parametrize("trials", [1, ROWS - 1, ROWS, ROWS + 1, BLOCK_SIZE,
-                                        BLOCK_SIZE + 1, 3 * BLOCK_SIZE - 5])
+    @pytest.mark.parametrize("trials", [1, ROWS - 1, ROWS, ROWS + 1, TILE - 1, TILE,
+                                        TILE + 1, BLOCK_SIZE, BLOCK_SIZE + 1,
+                                        3 * BLOCK_SIZE - 5])
     @pytest.mark.parametrize("n", [1, 2, 31, 64])
     def test_matches_whole_block_reference(self, n, trials, kind):
         panel = _chunk_panel(n, kind)
@@ -349,22 +352,24 @@ class TestChunkedBlocks:
 
     @pytest.mark.parametrize("estimator", ["simulate_error", "estimate_min_mass"])
     def test_peak_traced_memory_stays_small(self, estimator):
-        # drawing each block as one float array peaks at 68.6 MiB
-        # (simulate_error) and 36.1 MiB (estimate_min_mass) on these
-        # inputs; numpy reports its buffers to tracemalloc
-        panel = _chunk_panel(64, "plain")
-        P, Q = panel.law_given_one(), panel.law_given_zero()
-        runs = {
-            "simulate_error": lambda: simulate_error(panel, 1 << 17, 5, workers=1),
-            "estimate_min_mass": lambda: estimate_min_mass(P, Q, 1 << 17, 5, workers=1),
-        }
-        tracemalloc.start()
-        try:
-            runs[estimator]()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 << 20
+        # a whole block of bool votes alone takes 64 KiB per expert, and
+        # holding one peaked at 81-90 KiB per expert on these inputs; tiles
+        # peak at 26-37. numpy reports its buffers to tracemalloc
+        trials = BLOCK_SIZE + 1
+        for n in (64, 1001):
+            panel = _chunk_panel(n, "plain")
+            P, Q = panel.law_given_one(), panel.law_given_zero()
+            runs = {
+                "simulate_error": lambda: simulate_error(panel, trials, 5, workers=1),
+                "estimate_min_mass": lambda: estimate_min_mass(P, Q, trials, 5, workers=1),
+            }
+            tracemalloc.start()
+            try:
+                runs[estimator]()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * (48 << 10), (n, peak)
 
 
 # rates at the rounding edges of (w >> 11) * 2^-53 < p: 0, the smallest
@@ -375,22 +380,37 @@ EDGE_RATES = np.array([0.0, 5e-324, 2.0**-60, 2.0**-53, np.nextafter(3 * 2.0**-5
                        1.0 - 2.0**-53, 1.0])
 
 
+def _draw(seed, block, trials, given_one, given_zero=None, p_y=None):
+    """The labels (None without p_y) and votes of _draw_block for the rates,
+    concatenated over its tiles."""
+    if p_y is None:
+        rates = given_one
+    else:
+        rates = [np.r_[p_y, given_zero], np.r_[p_y, given_one]]
+    tiles = montecarlo._draw_block(seed, block, trials, montecarlo._thresholds(rates))
+    # copy each tile before the next one overwrites its buffers
+    ys, xs = zip(*((None if y is None else y.copy(), x.copy()) for y, x in tiles))
+    assert all(x.shape[0] == TILE for x in xs[:-1]) and 0 < xs[-1].shape[0] <= TILE
+    return (None if p_y is None else np.concatenate(ys)), np.concatenate(xs)
+
+
 class TestRawWordVotes:
     # _draw_block compares raw Philox words with integer thresholds; the
-    # votes must be those of comparing Generator.random() with the rates,
-    # which also pins that random() is (w >> 11) * 2^-53 on this numpy
+    # votes, over all its tiles, must be those of comparing
+    # Generator.random() with the rates, which also pins that random() is
+    # (w >> 11) * 2^-53 on this numpy
     @pytest.mark.parametrize("trials", [1, ROWS + 1, BLOCK_SIZE - 3])
     def test_votes_equal_thresholded_uniforms(self, trials):
         n = EDGE_RATES.size
         given_one = EDGE_RATES
         given_zero = np.roll(EDGE_RATES[::-1], 3)
         for block, p_y in enumerate([0.1, 0.3, 0.5, 0.7, 0.9]):
-            y, x = montecarlo._draw_block(7, block, trials, given_one, given_zero, p_y)
+            y, x = _draw(7, block, trials, given_one, given_zero, p_y)
             u = montecarlo._block_generator(7, block).random((trials, n + 1))
             y_ref = u[:, 0] < p_y
             assert np.array_equal(y, y_ref)
             assert np.array_equal(x, u[:, 1:] < np.where(y_ref[:, None], given_one, given_zero))
-        _, x = montecarlo._draw_block(8, 0, trials, given_one)
+        _, x = _draw(8, 0, trials, given_one)
         assert np.array_equal(x, montecarlo._block_generator(8, 0).random((trials, n)) < given_one)
 
     def test_thresholds_split_the_words_where_uniforms_cross_the_rate(self):
@@ -407,8 +427,8 @@ class TestRawWordVotes:
         u = montecarlo._block_generator(9, 0).random(17)
         above = np.nextafter(u, 1.0)
         for rates, vote in ((u, False), (above, True)):
-            _, x = montecarlo._draw_block(9, 0, 1, rates)
+            _, x = _draw(9, 0, 1, rates)
             assert np.all(x == vote)
             for p_y, label in ((u[0], False), (above[0], True)):
-                y, x = montecarlo._draw_block(9, 0, 1, rates[1:], rates[1:], p_y)
+                y, x = _draw(9, 0, 1, rates[1:], rates[1:], p_y)
                 assert y.tolist() == [label] and np.all(x == vote)
