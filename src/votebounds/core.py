@@ -203,8 +203,11 @@ def fold_bias(panel: ExpertPanel) -> ExpertPanel:
 
     A prior p_y = theta != 1/2 contributes the same evidence as one more
     expert with sensitivity and specificity both equal to theta voting on
-    an unbiased label, so the optimal aggregation error is unchanged.
-    Returns the panel itself when p_y is exactly 1/2.
+    an unbiased label. The optimal error of the folded panel is the
+    average of the minimal risks at priors theta and 1 - theta. When
+    psi = eta entrywise that equals the minimal risk at theta itself; an
+    asymmetric panel's folded error can exceed it. Returns the panel
+    itself when p_y is exactly 1/2.
     """
     if _check_panel(panel).p_y == 0.5:
         return panel

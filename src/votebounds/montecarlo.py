@@ -15,10 +15,10 @@ code that takes one.
 
 A block is drawn and scored _TILE_ROWS trials at a time. Each tile is
 drawn _CHUNK_ROWS trials at a time as raw 64-bit Philox words. Each chunk
-is compared row by row, reading the words in order, and its bool votes
-are copied transposed into the tile's votes, kept column-major so that
-the scoring kernel reads contiguous columns; the bool copy costs less
-than comparing the words in column order.
+is compared row by row, reading the words in order, into a zero-padded
+bool buffer; rule._pack packs its votes 8 to a byte, and the bytes are
+copied transposed into the tile, one contiguous row of trials per byte
+of votes, which is what the scoring kernel reads.
 A vote at rate p is 1 when (w >> 11) < ceil(p * 2^53) for its word w.
 Generator.random would turn the same word into the uniform
 (w >> 11) * 2^-53, and that uniform lies below p exactly when the
@@ -27,19 +27,19 @@ are those of thresholding random() uniforms, without building a float
 per vote. Consecutive draws continue the block's stream, so the tiles
 hold exactly the votes of one whole-block draw.
 
-Each tile is scored as soon as it is drawn. simulate_error adds up
-integer mismatch counts, and estimate_min_mass writes each tile's
-clipped ratios into one block-length float vector, which it sums once
-and, squared in place, once more; so every float sum is that of scoring
-the whole block in one call. Working memory per worker is about 33 KiB
-per expert for simulate_error: the chunk's words and per-trial
-thresholds (8 KiB each), its bool votes (1 KiB) and the tile's (16 KiB);
-that is about 2 MiB at n = 64 and 32 MiB at n = 1001. estimate_min_mass
-keeps no per-trial thresholds but holds the block's 512 KiB ratio
-vector. A whole block of bool votes alone would take 64 KiB per expert.
-Tiles are no smaller than 2^14 trials: each tile costs 2n short numpy
-calls, between which threads contend for the interpreter lock, and
-scoring 2048-trial chunks was measurably slower on two workers.
+Each tile is scored as soon as it is drawn, by rule._scores: the offset,
+then one 256-entry table lookup per byte of 8 votes, byte by byte in
+index order. simulate_error adds up integer mismatch counts, and
+estimate_min_mass writes each tile's clipped ratios into one
+block-length float vector, which it sums once and, squared in place,
+once more; so every float sum is that of scoring the whole block in one
+call. Working memory per worker is about 20 KiB per expert for
+simulate_error: the chunk's words and per-trial thresholds (8 KiB
+each), its bool votes and their packed words (1 KiB each) and the
+tile's packed votes (2 KiB); that is about 1.3 MiB at n = 64 and 20 MiB
+at n = 1001. estimate_min_mass keeps no per-trial thresholds but holds
+the block's 512 KiB ratio vector. A whole block of bool votes alone
+would take 64 KiB per expert.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer
 from .exact import _check_pair, _reduce
-from .rule import _scores, build_rule
+from .rule import _byte_tables, _pack, _scores, build_rule
 
 __all__ = ["BLOCK_SIZE", "SimulationResult", "simulate_error", "estimate_min_mass"]
 
@@ -62,8 +62,7 @@ _MASK64 = (1 << 64) - 1
 # trials drawn and thresholded at a time; divides _TILE_ROWS
 _CHUNK_ROWS = 1 << 10
 
-# trials scored at a time; divides BLOCK_SIZE, and no smaller than 2^14
-# (see the module docstring)
+# trials scored at a time; divides BLOCK_SIZE
 _TILE_ROWS = 1 << 14
 
 
@@ -94,23 +93,32 @@ def _draw_block(seed: int, block: int, m: int, thresholds: np.ndarray):
     every column is a vote, 1 below thresholds[i]. With a (2, 1 + n)
     table, column 0 draws the label y, 1 below thresholds[0, 0], which
     both rows share, and the trial's whole row of words is then compared
-    with row y of the table, in one contiguous compare. The words are
-    drawn _CHUNK_ROWS rows at a time; consecutive random_raw calls
-    continue the stream, so the tiles hold exactly the words of one
+    with row y of the table, reading words and thresholds contiguously.
+    The words are drawn _CHUNK_ROWS rows at a time; consecutive random_raw
+    calls continue the stream, so the tiles hold exactly the words of one
     whole-block draw.
 
-    Each tile is (y, x): its bool labels (None without a label column)
-    and its (k, n) bool votes as a column-major view, so that _scores
-    reads contiguous columns. Both are views of buffers that the next
-    tile overwrites, so score a tile before drawing the next.
+    Each chunk's votes land in a zero-padded bool buffer, whose rows hold
+    8 ceil(n / 8) votes from an 8-byte boundary on, and rule._pack packs
+    them 8 to a byte; the bytes are copied transposed into the tile. Each
+    tile is (y, x): its bool labels (None without a label column) and its
+    (ceil(n / 8), k) uint8 votes, as rule._scores reads them. Both are
+    views of buffers that the next tile overwrites, so score a tile
+    before drawing the next.
     """
     rows = min(_CHUNK_ROWS, m)
     tile = min(_TILE_ROWS, m)
     width = thresholds.shape[-1]
     lead = 1 if thresholds.ndim == 2 else 0
+    n = width - lead
+    nb = -(-n // 8)
+    # a label column lands at the end of 8 leading bools, so each row's
+    # votes start on an 8-byte boundary; the votes past n stay 0
+    skip = 8 * lead
     words = _block_generator(seed, block).bit_generator
-    votes_t = np.empty((width - lead, tile), dtype=bool)
-    chunk = np.empty((rows, width), dtype=bool)
+    chunk = np.zeros((rows, skip + 8 * nb), dtype=bool)
+    packed = np.empty((rows, nb), dtype=np.uint64)
+    votes = np.empty((nb, tile), dtype=np.uint8)
     if lead:
         y = np.empty(tile, dtype=bool)
         threshold = np.empty((rows, width), dtype=np.uint64)
@@ -124,14 +132,14 @@ def _draw_block(seed: int, block: int, m: int, thresholds: np.ndarray):
             w = words.random_raw((k, width))
             w >>= np.uint64(11)
             if y is None:
-                np.less(w, thresholds, out=chunk[:k])
+                np.less(w, thresholds, out=chunk[:k, :n])
             else:
                 np.less(w[:, 0], thresholds[0, 0], out=y[lo:hi])
                 thresholds.take(y[lo:hi].view(np.uint8), axis=0, out=threshold[:k], mode="clip")
-                np.less(w, threshold[:k], out=chunk[:k])
-            votes_t[:, lo:hi] = chunk[:k, lead:].T
+                np.less(w, threshold[:k], out=chunk[:k, skip - 1:skip + n])
+            votes[:, lo:hi] = _pack(chunk[:k, skip:], packed[:k]).T
             del w  # free the words before the next chunk's are drawn
-        yield (None if y is None else y[:size]), votes_t[:, :size].T
+        yield (None if y is None else y[:size]), votes[:, :size]
 
 
 def _check_run(trials, seed, workers) -> tuple[int, int, int]:
@@ -202,7 +210,7 @@ def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
                               np.r_[panel.p_y, panel.psi]])
 
     def block_count(b: int, m: int) -> int:
-        return sum(int(np.count_nonzero((rule._score_rows(x) >= 0.0) != y))
+        return sum(int(np.count_nonzero((_scores(x, rule.offset, rule._tables) >= 0.0) != y))
                    for y, x in _draw_block(seed, b, m, thresholds))
 
     p_hat = sum(_map_blocks(block_count, trials, workers)) / trials
@@ -238,9 +246,8 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
         return min(a, b), 0.0
     p, q, counts = (np.array(column) for column in zip(*groups))
     p, q = np.repeat(p, counts), np.repeat(q, counts)
-    log_ratio_one = np.log(q) - np.log(p)
-    log_ratio_zero = np.log(1.0 - q) - np.log(1.0 - p)
     offset = math.log(b) - math.log(a)
+    tables = _byte_tables(np.log(q) - np.log(p), np.log(1.0 - q) - np.log(1.0 - p))
     thresholds = _thresholds(p)
 
     def block_sums(block: int, m: int) -> tuple[float, float]:
@@ -249,7 +256,7 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
         ratio = np.empty(m)
         lo = 0
         for _, x in _draw_block(seed, block, m, thresholds):
-            score = _scores(x, offset, log_ratio_one, log_ratio_zero)
+            score = _scores(x, offset, tables)
             # min(1, ratio), clipped in the log domain so exp cannot overflow
             np.exp(np.minimum(0.0, score, out=score), out=ratio[lo:lo + score.size])
             lo += score.size

@@ -14,19 +14,24 @@ before the logs are taken, so the weights are large but finite.
 Parameters inside that interval are never touched.
 
 One kernel, `_scores`, sums this for `score`, `decide_batch` and both
-Monte Carlo estimators, column by column in index order, so no caller
-can drift from the others on a tie. `decide_batch` certifies the longest
-leading run of rows that numpy holds as a numeric (k, n) array with one
-vectorized 0/1 test; a list of int lists is read through `bytes`, not
-`np.asarray`. Only the rows from the first uncertified one on (the first
-bad row, or the first in a form numpy cannot hold, such as a bit string)
-are checked one by one.
+Monte Carlo estimators, so no caller can drift from the others on a tie.
+`_pack` packs the votes 8 to a byte, and `_byte_tables` holds, for each
+byte, the summed weights of its 8 votes under each of the 256 bit
+patterns, added in index order from 0.0. The kernel adds the offset and
+then one table entry per byte, byte by byte in index order: one lookup
+per 8 votes, on packed votes that take an eighth of the memory of bools.
+
+`decide_batch` certifies the longest leading run of rows that numpy
+holds as a numeric (k, n) array with one vectorized 0/1 test; a list of
+int lists is read through `bytes`, not `np.asarray`. Only the rows from
+the first uncertified one on (the first bad row, or the first in a form
+numpy cannot hold, such as a bit string) are checked one by one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +44,13 @@ DEFAULT_CLAMP_EPSILON = 1e-12
 # row types a batch's numeric leading run may hold
 _ROW_TYPES = {list, tuple, np.ndarray}
 
+# the little-endian word of 8 bool bytes times _GATHER holds bool byte i
+# in bit 56 + i: byte i times byte k of _GATHER lands on bit 56 + i when
+# i + k = 7, the lower products fill distinct bits below 56 with no
+# carry, and the higher ones pass bit 63
+_WORDS = np.dtype("<u8")
+_GATHER = np.uint64(0x0102040810204080)
+
 
 @dataclass(frozen=True, eq=False)
 class DecisionRule:
@@ -47,6 +59,7 @@ class DecisionRule:
     offset: float
     vote_one_weights: np.ndarray
     vote_zero_weights: np.ndarray
+    _tables: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w1 = _vector(self.vote_one_weights, "vote_one_weights", "(-inf, inf)")
@@ -56,6 +69,7 @@ class DecisionRule:
         object.__setattr__(self, "vote_one_weights", w1)
         object.__setattr__(self, "vote_zero_weights", w0)
         object.__setattr__(self, "offset", _scalar(self.offset, "offset"))
+        object.__setattr__(self, "_tables", _byte_tables(w1, w0))
 
     @property
     def n(self) -> int:
@@ -139,10 +153,11 @@ class DecisionRule:
         return x
 
     def _score_rows(self, x: np.ndarray) -> np.ndarray:
-        return _scores(x, self.offset, self.vote_one_weights, self.vote_zero_weights)
+        return _scores(_packed(x), self.offset, self._tables)
 
     def score(self, x) -> float:
-        """Log odds of label 1 given the votes. Summed in index order."""
+        """Log odds of label 1 given the votes: the offset, then the
+        weights of each byte of 8 votes, byte by byte in index order."""
         return float(self._score_rows(np.array([self._check_bits(x)], dtype=bool))[0])
 
     def decide(self, x) -> int:
@@ -163,14 +178,49 @@ def _numeric(xs, n: int):
     return x if x.ndim == 2 and x.shape[1] == n and x.dtype.kind in "biuf" else None
 
 
-def _scores(x: np.ndarray, offset: float, w1: np.ndarray,
-            w0: np.ndarray) -> np.ndarray:
-    """offset + sum_i (w1[i] if x[r, i] else w0[i]) for each row r of bool x,
-    added column by column (a matmul or a reduction sums in another order)."""
-    s = np.full(x.shape[0], offset)
-    term = np.empty(x.shape[0])
-    for pair, col in zip(np.stack([w0, w1], axis=1), x.view(np.uint8).T):
-        pair.take(col, out=term, mode="clip")  # 0/1 need no bounds check
+def _byte_tables(w1: np.ndarray, w0: np.ndarray) -> np.ndarray:
+    """(ceil(n / 8), 256) tables: entry v of table j is the summed weight
+    of votes 8j .. 8j + 7 when vote 8j + i is bit i of v (w1[8j + i] if
+    the bit is set, else w0[8j + i]), added in index order from 0.0.
+    Votes past n weigh 0, so the padding bits of the last byte add 0."""
+    nb = -(-w1.size // 8)
+    weights = np.zeros((2, 8 * nb))
+    weights[0, :w0.size] = w0
+    weights[1, :w1.size] = w1
+    patterns = np.arange(256)
+    tables = np.zeros((nb, 256))
+    for i in range(8):
+        tables += weights[:, i::8].T[:, (patterns >> i) & 1]
+    return tables
+
+
+def _pack(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.packbits(bits, axis=1, bitorder="little") of an (m, 8k) bool
+    array with contiguous rows, written as uint64 into the (m, k) out and
+    returned: bit i of byte j is vote 8j + i. One multiply and one shift
+    per 8 votes, where packbits walks the votes one by one."""
+    np.multiply(bits.view(_WORDS), _GATHER, out=out)
+    return np.right_shift(out, np.uint64(56), out=out)
+
+
+def _packed(x: np.ndarray) -> np.ndarray:
+    """The (ceil(n / 8), m) uint8 votes of the rows of (m, n) bool x, as
+    _scores reads them, with the votes past n 0."""
+    m, n = x.shape
+    nb = -(-n // 8)
+    bits = np.zeros((m, 8 * nb), dtype=bool)
+    bits[:, :n] = x
+    return _pack(bits, np.empty((m, nb), dtype=np.uint64)).T.astype(np.uint8, order="C")
+
+
+def _scores(packed: np.ndarray, offset: float, tables: np.ndarray) -> np.ndarray:
+    """offset + sum_j tables[j, packed[j, r]] for each column r of the
+    (ceil(n / 8), m) uint8 votes, added byte by byte in index order (a
+    matmul or a reduction sums in another order); tables from _byte_tables."""
+    s = np.full(packed.shape[1], offset)
+    term = np.empty(packed.shape[1])
+    for table, col in zip(tables, packed):
+        table.take(col, out=term, mode="clip")  # a byte needs no bounds check
         s += term
     return s
 

@@ -10,7 +10,9 @@ duplicate expert types instead, which reaches the enumeration cap.
 
 The identities of the paper that the library does not compute live
 here too: `min_identity`, `balanced_min_inequality_gap`,
-`complement_symmetry_check` and `tensorization_gap`.
+`complement_symmetry_check` and `tensorization_gap`. So does
+`column_scores`, which adds a rule's weights one vote at a time: the
+reference for the byte-table scoring kernel.
 
 Three kinds of oracle share code with the library on purpose.
 `tensorization_gap` calls the library's `min_mass`, so that the product
@@ -254,25 +256,37 @@ def whole_block_estimate_min_mass(P, Q, trials, seed):
     (m, n) array, with the ratio clipped at 1 after exp, not before."""
     from votebounds.exact import _reduce
     from votebounds.montecarlo import BLOCK_SIZE, _block_generator
-    from votebounds.rule import _scores
+    from votebounds.rule import _byte_tables, _packed, _scores
 
     groups, a, b, _ = _reduce(P.p, Q.p)
     if not groups or min(a, b) == 0.0:
         return min(a, b), 0.0
     p = np.array([g[0] for g in groups for _ in range(g[2])])
     q = np.array([g[1] for g in groups for _ in range(g[2])])
-    log_ratio_one = np.log(q) - np.log(p)
-    log_ratio_zero = np.log(1.0 - q) - np.log(1.0 - p)
+    tables = _byte_tables(np.log(q) - np.log(p), np.log(1.0 - q) - np.log(1.0 - p))
     offset = math.log(b) - math.log(a)
     total = 0.0
     total_sq = 0.0
     for block in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
         m = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
         x = _block_generator(seed, block).random((m, p.size)) < p
-        log_lr = _scores(x, offset, log_ratio_one, log_ratio_zero)
+        log_lr = _scores(_packed(x), offset, tables)
         ratio = np.minimum(1.0, np.exp(log_lr))
         total += float(ratio.sum())
         total_sq += float(np.square(ratio).sum())
     estimate = total / trials
     variance = max(0.0, total_sq / trials - estimate * estimate)
     return a * estimate, a * math.sqrt(variance / trials)
+
+
+def column_scores(x, offset, w1, w0):
+    """offset + sum_i (w1[i] if x[r, i] else w0[i]) for each row r of bool
+    x, added column by column in index order: the reference for the
+    byte-table kernel rule._scores, which adds the same terms a byte of 8
+    votes at a time."""
+    s = np.full(x.shape[0], offset)
+    term = np.empty(x.shape[0])
+    for pair, col in zip(np.stack([w0, w1], axis=1), x.view(np.uint8).T):
+        pair.take(col, out=term, mode="clip")  # 0/1 need no bounds check
+        s += term
+    return s

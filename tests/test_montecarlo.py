@@ -381,8 +381,9 @@ EDGE_RATES = np.array([0.0, 5e-324, 2.0**-60, 2.0**-53, np.nextafter(3 * 2.0**-5
 
 
 def _draw(seed, block, trials, given_one, given_zero=None, p_y=None):
-    """The labels (None without p_y) and votes of _draw_block for the rates,
-    concatenated over its tiles."""
+    """The labels (None without p_y) and (trials, n) bool votes of
+    _draw_block for the rates, concatenated over its tiles and unpacked
+    from their bytes."""
     if p_y is None:
         rates = given_one
     else:
@@ -390,8 +391,10 @@ def _draw(seed, block, trials, given_one, given_zero=None, p_y=None):
     tiles = montecarlo._draw_block(seed, block, trials, montecarlo._thresholds(rates))
     # copy each tile before the next one overwrites its buffers
     ys, xs = zip(*((None if y is None else y.copy(), x.copy()) for y, x in tiles))
-    assert all(x.shape[0] == TILE for x in xs[:-1]) and 0 < xs[-1].shape[0] <= TILE
-    return (None if p_y is None else np.concatenate(ys)), np.concatenate(xs)
+    assert all(x.shape[1] == TILE for x in xs[:-1]) and 0 < xs[-1].shape[1] <= TILE
+    x = np.unpackbits(np.concatenate(xs, axis=1), axis=0, count=len(given_one),
+                      bitorder="little")
+    return (None if p_y is None else np.concatenate(ys)), x.T.astype(bool)
 
 
 class TestRawWordVotes:

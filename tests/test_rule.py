@@ -120,6 +120,12 @@ def tie_panel():
     return ExpertPanel(psi=[0.5, 0.75], eta=[0.75, 0.5])
 
 
+def byte_boundary_tie_panel():
+    # the same pair as experts 7 and 8, in different bytes of packed
+    # votes, after 7 uninformative experts that weigh 0 either way
+    return ExpertPanel(psi=[0.5] * 8 + [0.75], eta=[0.5] * 7 + [0.75, 0.5])
+
+
 class TestDecideBatch:
     def test_empty(self):
         rule = build_rule(ExpertPanel(psi=[0.9, 0.6], eta=[0.8, 0.7]))
@@ -134,12 +140,16 @@ class TestDecideBatch:
         assert all(type(d) is int for d in out)
 
     def test_exact_tie_decides_one_in_every_form(self):
-        rule = build_rule(tie_panel())
-        assert rule.score([1, 0]) == 0.0
-        xs = [[1, 0], [1, 0]]
-        assert rule.decide_batch(xs) == [1, 1]
-        assert rule.decide_batch(np.array(xs, dtype=bool)) == [1, 1]
-        assert rule.decide_batch(["10", "10"]) == [1, 1]
+        for panel, tie in ((tie_panel(), [1, 0]),
+                           (byte_boundary_tie_panel(), [1, 0, 1, 1, 0, 0, 1, 1, 0])):
+            rule = build_rule(panel)
+            assert rule.score(tie) == 0.0
+            assert rule.decide(tie) == 1
+            xs = [tie, tie]
+            for form in ROW_FORMS.values():
+                assert rule.decide_batch([form(row) for row in xs]) == [1, 1]
+            for dtype in (bool, np.uint8, int, float):
+                assert rule.decide_batch(np.array(xs, dtype=dtype)) == [1, 1]
 
     def test_forms_agree_with_per_vector_decide(self, rng):
         panels = [tie_panel(), ExpertPanel(psi=[0.5, 0.75, 0.75, 0.5] * 2,
@@ -181,6 +191,40 @@ class TestDecideBatch:
         for xs, message in cases:
             with pytest.raises(ValidationError, match=message):
                 two.decide_batch(xs)
+
+
+class TestByteKernel:
+    # _scores adds one table entry per byte of 8 packed votes, where the
+    # column scorer of the oracles adds one weight per vote
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 1001])
+    def test_matches_column_scorer(self, rng, n):
+        w1, w0 = rng.normal(0.0, 3.0, n), rng.normal(0.0, 3.0, n)
+        offset = float(rng.normal())
+        x = rng.integers(0, 2, (300, n)).astype(bool)
+        x[0], x[1] = False, True
+        got = DecisionRule(offset, w1, w0)._score_rows(x)
+        ref = oracles.column_scores(x, offset, w1, w0)
+        # each order is within n * 2^-53 of the exact sum, scaled by its terms
+        scale = abs(offset) + np.maximum(np.abs(w1), np.abs(w0)).sum()
+        assert np.all(np.abs(got - ref) <= n * 2.0**-52 * scale)
+
+    def test_tables_add_each_byte_in_index_order(self, rng):
+        n = 13
+        w1, w0 = rng.normal(size=n), rng.normal(size=n)
+        tables = votebounds.rule._byte_tables(w1, w0)
+        assert tables.shape == (2, 256)
+        for j, v in [(0, 0), (0, 0b10110101), (0, 255), (1, 0b11010), (1, 255)]:
+            expected = 0.0
+            for i in range(8 * j, min(8 * j + 8, n)):
+                expected += w1[i] if v >> (i - 8 * j) & 1 else w0[i]
+            assert tables[j, v] == expected
+
+    def test_packing_matches_packbits(self, rng):
+        for n in [*range(1, 66), 1001]:
+            for x in (rng.integers(0, 2, (37, n)).astype(bool), np.eye(n, dtype=bool),
+                      np.ones((2, n), dtype=bool)):
+                ref = np.packbits(x, axis=1, bitorder="little")
+                assert np.array_equal(votebounds.rule._packed(x), ref.T)
 
 
 # one vote vector in each row form, from a Python list; a corrupted row
