@@ -48,7 +48,6 @@ _ROW_TYPES = {list, tuple, np.ndarray}
 # in bit 56 + i: byte i times byte k of _GATHER lands on bit 56 + i when
 # i + k = 7, the lower products fill distinct bits below 56 with no
 # carry, and the higher ones pass bit 63
-_WORDS = np.dtype("<u8")
 _GATHER = np.uint64(0x0102040810204080)
 
 
@@ -184,13 +183,13 @@ def _byte_tables(w1: np.ndarray, w0: np.ndarray) -> np.ndarray:
     the bit is set, else w0[8j + i]), added in index order from 0.0.
     Votes past n weigh 0, so the padding bits of the last byte add 0."""
     nb = -(-w1.size // 8)
-    weights = np.zeros((2, 8 * nb))
-    weights[0, :w0.size] = w0
-    weights[1, :w1.size] = w1
-    patterns = np.arange(256)
-    tables = np.zeros((nb, 256))
+    weights = np.zeros((2, 8 * nb, 1))
+    weights[0, :w0.size, 0] = w0
+    weights[1, :w1.size, 0] = w1
+    tables = np.zeros((nb, 1))
+    # step i appends bit i: entries v + 2^i add w1, entries v add w0
     for i in range(8):
-        tables += weights[:, i::8].T[:, (patterns >> i) & 1]
+        tables = np.concatenate([tables + weights[0, i::8], tables + weights[1, i::8]], axis=1)
     return tables
 
 
@@ -199,7 +198,7 @@ def _pack(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     array with contiguous rows, written as uint64 into the (m, k) out and
     returned: bit i of byte j is vote 8j + i. One multiply and one shift
     per 8 votes, where packbits walks the votes one by one."""
-    np.multiply(bits.view(_WORDS), _GATHER, out=out)
+    np.multiply(bits.view("<u8"), _GATHER, out=out)
     return np.right_shift(out, np.uint64(56), out=out)
 
 

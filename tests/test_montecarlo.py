@@ -354,7 +354,8 @@ class TestChunkedBlocks:
     def test_peak_traced_memory_stays_small(self, estimator):
         # a whole block of bool votes alone takes 64 KiB per expert, and
         # holding one peaked at 81-90 KiB per expert on these inputs; tiles
-        # peak at 26-37. numpy reports its buffers to tracemalloc
+        # of packed votes peak at 13-24. numpy reports its buffers to
+        # tracemalloc
         trials = BLOCK_SIZE + 1
         for n in (64, 1001):
             panel = _chunk_panel(n, "plain")

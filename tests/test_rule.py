@@ -208,16 +208,21 @@ class TestByteKernel:
         scale = abs(offset) + np.maximum(np.abs(w1), np.abs(w0)).sum()
         assert np.all(np.abs(got - ref) <= n * 2.0**-52 * scale)
 
-    def test_tables_add_each_byte_in_index_order(self, rng):
-        n = 13
+    def test_adds_each_byte_and_then_the_bytes_in_index_order(self, rng):
+        n = 21
         w1, w0 = rng.normal(size=n), rng.normal(size=n)
         tables = votebounds.rule._byte_tables(w1, w0)
-        assert tables.shape == (2, 256)
-        for j, v in [(0, 0), (0, 0b10110101), (0, 255), (1, 0b11010), (1, 255)]:
+        assert tables.shape == (3, 256)
+        for j, v in [(0, 0), (0, 0b10110101), (0, 255), (2, 0b11010), (2, 255)]:
             expected = 0.0
             for i in range(8 * j, min(8 * j + 8, n)):
                 expected += w1[i] if v >> (i - 8 * j) & 1 else w0[i]
             assert tables[j, v] == expected
+        packed = rng.integers(0, 256, (3, 50), dtype=np.uint8)
+        expected = np.full(50, 0.7)
+        for table, col in zip(tables, packed):
+            expected = expected + table[col]
+        assert np.array_equal(votebounds.rule._scores(packed, 0.7, tables), expected)
 
     def test_packing_matches_packbits(self, rng):
         for n in [*range(1, 66), 1001]:
