@@ -293,8 +293,10 @@ def _pinned_panel():
 
 class TestRecordedStreams:
     # Recorded with the per-estimator scoring loops that the shared kernel
-    # replaced. A change to the draws, the summation order or the block
-    # combination shows up here. 150_001 trials end on a partial block.
+    # replaced. A change to the draws or the block combination shows up
+    # here; a change to the kernel's summation order need not (summing the
+    # bytes in reverse left both values as they are), so test_rule.py pins
+    # that order. 150_001 trials end on a partial block.
     TRIALS = 150_001
 
     @pytest.mark.parametrize("workers", [1, 2])
