@@ -53,7 +53,7 @@ def _vector(values, name: str, interval: str = "[0, 1]") -> np.ndarray:
         if raw.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in raw.flat):
             raise TypeError("numbers written as strings are refused")
         arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} is not a numeric sequence: {exc}") from None
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")

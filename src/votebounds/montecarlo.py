@@ -13,33 +13,27 @@ order, so the worker count never changes the result. The worker count is
 the workers argument, 1 by default; the two estimators here are the only
 code that takes one.
 
-A block is drawn and scored _TILE_ROWS trials at a time. Each tile is
-drawn _CHUNK_ROWS trials at a time as raw 64-bit Philox words. Each chunk
-is compared row by row, reading the words in order, into a zero-padded
-bool buffer; rule._pack packs its votes 8 to a byte, and the bytes are
-copied transposed into the tile, one contiguous row of trials per byte
-of votes, which is what the scoring kernel reads.
-A vote at rate p is 1 when (w >> 11) < ceil(p * 2^53) for its word w.
+A block is drawn _CHUNK_ROWS trials at a time as raw 64-bit Philox
+words, and its votes are packed 8 to a byte (see _draw_block). A vote at
+rate p is 1 when (w >> 11) < ceil(p * 2^53) for its word w.
 Generator.random would turn the same word into the uniform
 (w >> 11) * 2^-53, and that uniform lies below p exactly when the
 integer comparison holds, so the votes, the streams and every result
 are those of thresholding random() uniforms, without building a float
-per vote. Consecutive draws continue the block's stream, so the tiles
+per vote. Consecutive draws continue the block's stream, so the chunks
 hold exactly the votes of one whole-block draw.
 
-Each tile is scored as soon as it is drawn, by rule._scores: the offset,
-then one 256-entry table lookup per byte of 8 votes, byte by byte in
-index order. simulate_error adds up integer mismatch counts, and
-estimate_min_mass writes each tile's clipped ratios into one
-block-length float vector, which it sums once and, squared in place,
-once more; so every float sum is that of scoring the whole block in one
-call. Working memory per worker is about 20 KiB per expert for
-simulate_error: the chunk's words and per-trial thresholds (8 KiB
-each), its bool votes and their packed words (1 KiB each) and the
-tile's packed votes (2 KiB); that is about 1.3 MiB at n = 64 and 20 MiB
-at n = 1001. estimate_min_mass keeps no per-trial thresholds but holds
-the block's 512 KiB ratio vector. A whole block of bool votes alone
-would take 64 KiB per expert.
+Each block is scored in one rule._scores call: the offset, then one
+256-entry table lookup per byte of 8 votes, byte by byte in index
+order. simulate_error counts the block's mismatches, and
+estimate_min_mass turns the scores into clipped ratios in place and
+sums them once and, squared in place, once more. Working memory per
+worker is about 26 KiB per expert for simulate_error: the chunk's words
+and per-trial thresholds (8 KiB each), its bool votes and their packed
+words (1 KiB each) and the block's packed votes (8 KiB); with the
+block's scores that is about 2.1 MiB at n = 64 and 26 MiB at n = 1001.
+estimate_min_mass keeps no per-trial thresholds, about 18 KiB per
+expert.
 """
 
 from __future__ import annotations
@@ -59,11 +53,8 @@ BLOCK_SIZE = 1 << 16
 
 _MASK64 = (1 << 64) - 1
 
-# trials drawn and thresholded at a time; divides _TILE_ROWS
+# trials drawn and thresholded at a time; divides BLOCK_SIZE
 _CHUNK_ROWS = 1 << 10
-
-# trials scored at a time; divides BLOCK_SIZE
-_TILE_ROWS = 1 << 14
 
 
 def _block_generator(seed: int, block: int) -> np.random.Generator:
@@ -84,7 +75,9 @@ def _thresholds(p) -> np.ndarray:
 
 
 def _draw_block(seed: int, block: int, m: int, thresholds: np.ndarray):
-    """Yield the m trials of one block in order, _TILE_ROWS trials at a time.
+    """(y, x): the m trials of one block, y its bool labels (None without
+    a label column) and x its (ceil(n / 8), m) uint8 votes, as
+    rule._scores reads them.
 
     Each trial is one row of raw 64-bit words from the block's stream,
     shifted right by 11 and compared with the integer thresholds from
@@ -95,19 +88,13 @@ def _draw_block(seed: int, block: int, m: int, thresholds: np.ndarray):
     both rows share, and the trial's whole row of words is then compared
     with row y of the table, reading words and thresholds contiguously.
     The words are drawn _CHUNK_ROWS rows at a time; consecutive random_raw
-    calls continue the stream, so the tiles hold exactly the words of one
-    whole-block draw.
-
-    Each chunk's votes land in a zero-padded bool buffer, whose rows hold
-    8 ceil(n / 8) votes from an 8-byte boundary on, and rule._pack packs
-    them 8 to a byte; the bytes are copied transposed into the tile. Each
-    tile is (y, x): its bool labels (None without a label column) and its
-    (ceil(n / 8), k) uint8 votes, as rule._scores reads them. Both are
-    views of buffers that the next tile overwrites, so score a tile
-    before drawing the next.
+    calls continue the stream, so the chunks hold exactly the words of
+    one whole-block draw. Each chunk's votes land in a zero-padded bool
+    buffer, whose rows hold 8 ceil(n / 8) votes from an 8-byte boundary
+    on, and rule._pack packs them 8 to a byte; the bytes are copied
+    transposed into x.
     """
     rows = min(_CHUNK_ROWS, m)
-    tile = min(_TILE_ROWS, m)
     width = thresholds.shape[-1]
     lead = 1 if thresholds.ndim == 2 else 0
     n = width - lead
@@ -118,34 +105,31 @@ def _draw_block(seed: int, block: int, m: int, thresholds: np.ndarray):
     words = _block_generator(seed, block).bit_generator
     chunk = np.zeros((rows, skip + 8 * nb), dtype=bool)
     packed = np.empty((rows, nb), dtype=np.uint64)
-    votes = np.empty((nb, tile), dtype=np.uint8)
+    votes = np.empty((nb, m), dtype=np.uint8)
     if lead:
-        y = np.empty(tile, dtype=bool)
+        y = np.empty(m, dtype=bool)
         threshold = np.empty((rows, width), dtype=np.uint64)
     else:
         y = None
-    for start in range(0, m, tile):
-        size = min(tile, m - start)
-        for lo in range(0, size, rows):
-            hi = min(lo + rows, size)
-            k = hi - lo
-            w = words.random_raw((k, width))
-            w >>= np.uint64(11)
-            if y is None:
-                np.less(w, thresholds, out=chunk[:k, :n])
-            else:
-                np.less(w[:, 0], thresholds[0, 0], out=y[lo:hi])
-                thresholds.take(y[lo:hi].view(np.uint8), axis=0, out=threshold[:k], mode="clip")
-                np.less(w, threshold[:k], out=chunk[:k, skip - 1:skip + n])
-            votes[:, lo:hi] = _pack(chunk[:k, skip:], packed[:k]).T
-            del w  # free the words before the next chunk's are drawn
-        yield (None if y is None else y[:size]), votes[:, :size]
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        k = hi - lo
+        w = words.random_raw((k, width))
+        w >>= np.uint64(11)
+        if y is None:
+            np.less(w, thresholds, out=chunk[:k, :n])
+        else:
+            np.less(w[:, 0], thresholds[0, 0], out=y[lo:hi])
+            thresholds.take(y[lo:hi].view(np.uint8), axis=0, out=threshold[:k], mode="clip")
+            np.less(w, threshold[:k], out=chunk[:k, skip - 1:skip + n])
+        votes[:, lo:hi] = _pack(chunk[:k, skip:], packed[:k]).T
+        del w  # free the words before the next chunk's are drawn
+    return y, votes
 
 
 def _check_run(trials, seed, workers) -> tuple[int, int, int]:
     """(trials, seed, workers) checked; bools and floats raise ValidationError."""
-    return (_integer(trials, "trials"), _integer(seed, "seed", None) & _MASK64,
-            _integer(workers, "workers"))
+    return _integer(trials, "trials"), _integer(seed, "seed", None), _integer(workers, "workers")
 
 
 def _map_blocks(block_fn, trials: int, workers: int) -> list:
@@ -171,7 +155,8 @@ class SimulationResult:
     """Outcome of one generative simulation run.
 
     empirical_error times trials is an integer mismatch count, and
-    std_error is the binomial plug-in sqrt(p (1-p) / trials).
+    std_error is the binomial plug-in sqrt(p (1-p) / trials). seed is the
+    seed as given; the stream is keyed by seed mod 2^64.
     """
 
     trials: int
@@ -210,8 +195,8 @@ def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
                               np.r_[panel.p_y, panel.psi]])
 
     def block_count(b: int, m: int) -> int:
-        return sum(int(np.count_nonzero((_scores(x, rule.offset, rule._tables) >= 0.0) != y))
-                   for y, x in _draw_block(seed, b, m, thresholds))
+        y, x = _draw_block(seed, b, m, thresholds)
+        return int(np.count_nonzero((_scores(x, rule.offset, rule._tables) >= 0.0) != y))
 
     p_hat = sum(_map_blocks(block_count, trials, workers)) / trials
     return SimulationResult(
@@ -251,15 +236,9 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     thresholds = _thresholds(p)
 
     def block_sums(block: int, m: int) -> tuple[float, float]:
-        # each tile writes its slice of one block-length vector, so both
-        # sums run over the whole block, in the order of one kernel call
-        ratio = np.empty(m)
-        lo = 0
-        for _, x in _draw_block(seed, block, m, thresholds):
-            score = _scores(x, offset, tables)
-            # min(1, ratio), clipped in the log domain so exp cannot overflow
-            np.exp(np.minimum(0.0, score, out=score), out=ratio[lo:lo + score.size])
-            lo += score.size
+        ratio = _scores(_draw_block(seed, block, m, thresholds)[1], offset, tables)
+        # min(1, ratio), clipped in the log domain so exp cannot overflow
+        np.exp(np.minimum(0.0, ratio, out=ratio), out=ratio)
         total = float(ratio.sum())
         return total, float(np.square(ratio, out=ratio).sum())
 

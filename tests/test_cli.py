@@ -80,6 +80,13 @@ class TestValidate:
         assert out == ""
         assert "strings" in err or "real number" in err
 
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path, capsys):
+        path = write_panel(tmp_path, psi=[10**400], eta=[0.8])
+        assert main(["validate", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: psi")
+
 
 class TestDecide:
     def test_three_expert_example(self, three_expert_path, capsys):
@@ -360,6 +367,22 @@ class TestSimulate:
             "simulate", counterexample_path, "--trials", "1000", "--seed", "0",
         ]) == 0
         assert "std_error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "PANEL", "--trials", "1000"],
+    ["error", "PANEL", "--method", "mc", "--trials", "1000"],
+], ids=["simulate", "error-mc"])
+def test_monte_carlo_commands_echo_the_seed_as_given(distinct_path, capsys, argv):
+    # the stream is keyed by seed mod 2^64, so -1 and 2^64 - 1 give one run
+    argv = [distinct_path if a == "PANEL" else a for a in argv] + ["--format", "json"]
+    assert main(argv + ["--seed", "-1"]) == 0
+    negative = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--seed", str(2**64 - 1)]) == 0
+    wrapped = json.loads(capsys.readouterr().out)
+    assert negative.pop("seed") == -1
+    assert wrapped.pop("seed") == 2**64 - 1
+    assert negative == wrapped
 
 
 class TestExitMatrix:

@@ -315,7 +315,6 @@ class TestRecordedStreams:
 
 
 ROWS = montecarlo._CHUNK_ROWS
-TILE = montecarlo._TILE_ROWS
 
 
 def _chunk_panel(n, kind):
@@ -332,12 +331,11 @@ def _chunk_panel(n, kind):
 
 
 class TestChunkedBlocks:
-    # Blocks are drawn ROWS trials at a time and scored TILE trials at a
-    # time; the results must equal those of drawing and scoring each block
-    # as one array, bit for bit.
+    # Blocks are drawn ROWS trials at a time; the results must equal those
+    # of drawing and scoring each block as one array, bit for bit.
     @pytest.mark.parametrize("kind", ["plain", "biased", "boundary"])
-    @pytest.mark.parametrize("trials", [1, ROWS - 1, ROWS, ROWS + 1, TILE - 1, TILE,
-                                        TILE + 1, BLOCK_SIZE, BLOCK_SIZE + 1,
+    @pytest.mark.parametrize("trials", [1, ROWS - 1, ROWS, ROWS + 1, 16383, 16384,
+                                        16385, BLOCK_SIZE, BLOCK_SIZE + 1,
                                         3 * BLOCK_SIZE - 5])
     @pytest.mark.parametrize("n", [1, 2, 31, 64])
     def test_matches_whole_block_reference(self, n, trials, kind):
@@ -355,9 +353,10 @@ class TestChunkedBlocks:
     @pytest.mark.parametrize("estimator", ["simulate_error", "estimate_min_mass"])
     def test_peak_traced_memory_stays_small(self, estimator):
         # a whole block of bool votes alone takes 64 KiB per expert, and
-        # holding one peaked at 81-90 KiB per expert on these inputs; tiles
-        # of packed votes peak at 13-24. numpy reports its buffers to
-        # tracemalloc
+        # holding one peaked at 81-90 KiB per expert on these inputs; a
+        # whole block of packed votes peaks at 33.3 (simulate_error) and
+        # 32.5 (estimate_min_mass) at n = 64, 26.5 and 18.6 at n = 1001.
+        # numpy reports its buffers to tracemalloc
         trials = BLOCK_SIZE + 1
         for n in (64, 1001):
             panel = _chunk_panel(n, "plain")
@@ -385,26 +384,21 @@ EDGE_RATES = np.array([0.0, 5e-324, 2.0**-60, 2.0**-53, np.nextafter(3 * 2.0**-5
 
 def _draw(seed, block, trials, given_one, given_zero=None, p_y=None):
     """The labels (None without p_y) and (trials, n) bool votes of
-    _draw_block for the rates, concatenated over its tiles and unpacked
-    from their bytes."""
+    _draw_block for the rates, unpacked from their bytes."""
     if p_y is None:
         rates = given_one
     else:
         rates = [np.r_[p_y, given_zero], np.r_[p_y, given_one]]
-    tiles = montecarlo._draw_block(seed, block, trials, montecarlo._thresholds(rates))
-    # copy each tile before the next one overwrites its buffers
-    ys, xs = zip(*((None if y is None else y.copy(), x.copy()) for y, x in tiles))
-    assert all(x.shape[1] == TILE for x in xs[:-1]) and 0 < xs[-1].shape[1] <= TILE
-    x = np.unpackbits(np.concatenate(xs, axis=1), axis=0, count=len(given_one),
-                      bitorder="little")
-    return (None if p_y is None else np.concatenate(ys)), x.T.astype(bool)
+    y, x = montecarlo._draw_block(seed, block, trials, montecarlo._thresholds(rates))
+    assert x.shape == (-(-len(given_one) // 8), trials)
+    x = np.unpackbits(x, axis=0, count=len(given_one), bitorder="little")
+    return y, x.T.astype(bool)
 
 
 class TestRawWordVotes:
     # _draw_block compares raw Philox words with integer thresholds; the
-    # votes, over all its tiles, must be those of comparing
-    # Generator.random() with the rates, which also pins that random() is
-    # (w >> 11) * 2^-53 on this numpy
+    # votes must be those of comparing Generator.random() with the rates,
+    # which also pins that random() is (w >> 11) * 2^-53 on this numpy
     @pytest.mark.parametrize("trials", [1, ROWS + 1, BLOCK_SIZE - 3])
     def test_votes_equal_thresholded_uniforms(self, trials):
         n = EDGE_RATES.size

@@ -1,8 +1,9 @@
 """Every malformed argument to a public function raises ValidationError.
 
-Each row is a call that once escaped as a raw TypeError or ValueError,
-or was accepted: a float or bool worker count, a bool panel path that
-open() takes for a file descriptor, or a number written as a string.
+Each row is a call that once escaped as a raw TypeError, ValueError or
+OverflowError, or was accepted: a float or bool worker count, a bool
+panel path that open() takes for a file descriptor, a number written as
+a string, or an integer too large for a float.
 """
 
 import math
@@ -64,6 +65,12 @@ MALFORMED = {
     "panel-string-p_y": lambda: validate_panel({"psi": [0.9], "eta": [0.8], "p_y": "0.3"}),
     "ProductBernoulli-string-array": lambda: ProductBernoulli(np.array(["0.5"])),
     "ProductBernoulli-bytes": lambda: ProductBernoulli([b"0.5"]),
+    # integers too large for a float
+    "panel-huge-int-psi": lambda: validate_panel({"psi": [0.9, 10**400], "eta": [0.8, 0.7]}),
+    "panel-huge-int-eta": lambda: ExpertPanel(psi=[0.9], eta=[10**400]),
+    "ProductBernoulli-huge-int": lambda: ProductBernoulli([10**400]),
+    "rule-huge-int-weights": lambda: DecisionRule(
+        offset=0.0, vote_one_weights=[10**400], vote_zero_weights=[-1.0]),
 }
 
 
