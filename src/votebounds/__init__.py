@@ -10,6 +10,27 @@ Each module declares its public names in its own __all__; the package
 re-exports all of them.
 """
 
+import os
+import sys
+
+
+def _started_as_cli() -> bool:
+    """True while the package is imported by `python -m votebounds` or by the
+    `votebounds` console script, and by nothing else."""
+    if sys.argv[:1] == ["-m"]:
+        # runpy imports the package to find votebounds.__main__; the token
+        # naming the module sits just before the arguments the module gets
+        k = len(sys.orig_argv) - len(sys.argv)
+        return k >= 1 and sys.orig_argv[k] in ("votebounds", "-mvotebounds")
+    return bool(sys.argv) and os.path.splitext(os.path.basename(sys.argv[0]))[0] == "votebounds"
+
+
+# OpenBLAS starts a thread pool when numpy loads, and no votebounds code calls
+# BLAS; a CLI process asks for one thread unless the user has chosen a number.
+# A library import leaves os.environ alone.
+if _started_as_cli():
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import bounds, core, exact, montecarlo, rule
 from .bounds import *  # noqa: F403
 from .core import *  # noqa: F403

@@ -200,8 +200,11 @@ class BoundsReport:
     Symmetric-only entries are None for asymmetric or boundary panels,
     exact is None unless requested. pi holds the balanced accuracies of
     the folded panel as a read-only array. When exact is present it must
-    sit inside [lower, upper] up to 1e-9. Fields are declared in to_dict's
-    output order.
+    sit inside [lower, upper] up to 1e-9. hellinger_lower and
+    hellinger_upper bracket the Bhattacharyya affinity of the folded laws,
+    not the error, so they can exceed exact: one uninformative expert
+    gives hellinger_lower = 1/sqrt(2) beside exact = 0.5. Fields are
+    declared in to_dict's output order.
     """
 
     n: int

@@ -181,18 +181,34 @@ def validate_panel(raw: Mapping) -> ExpertPanel:
     return ExpertPanel(psi=raw["psi"], eta=raw["eta"], p_y=raw.get("p_y", 0.5))
 
 
+def _refuse_repeated_keys(pairs: list) -> dict:
+    """json object_pairs_hook: the object as a dict, or ValidationError
+    naming a key that appears twice, where json.load keeps the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_panel(path) -> ExpertPanel:
     """Read a panel from a UTF-8 JSON file holding one panel object.
 
     path is a str, bytes or os.PathLike; an int is refused rather than
-    opened as a file descriptor."""
+    opened as a file descriptor. A key repeated within an object, or
+    nesting too deep for the parser, is refused."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise ValidationError(f"panel path must be a str, bytes or os.PathLike, got {path!r}")
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_refuse_repeated_keys)
+    except ValidationError as exc:
+        raise ValidationError(f"panel file {path} {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"panel file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"panel file {path} nests too deeply to parse") from None
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ValidationError(f"cannot read panel file {path}: {exc}") from None
     return validate_panel(raw)

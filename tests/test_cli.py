@@ -87,6 +87,18 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error: psi")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100000, "nests too deeply"),
+        ('{"psi": [0.9], "eta": [0.8], "psi": [0.7]}', "repeats the key 'psi'"),
+    ], ids=["nested", "repeated-key"])
+    def test_unreadable_panel_structure_rejected(self, tmp_path, capsys, text, message):
+        path = tmp_path / "panel.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: panel file") and message in err
+
 
 class TestDecide:
     def test_three_expert_example(self, three_expert_path, capsys):
@@ -467,12 +479,65 @@ class TestThreadsVariable:
         assert main(argv + ["--threads", "2"]) == 2
 
 
+def run_python(args, cwd=None, **env):
+    """stdout of a fresh interpreter with the package on its path and
+    OPENBLAS_NUM_THREADS unset unless given in env."""
+    src = os.path.dirname(os.path.dirname(votebounds.__file__))
+    env = {**{k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"},
+           "PYTHONPATH": src, **env}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout
+
+
 def test_import_leaves_thread_pool_unloaded():
     # every CLI run pays for the package's imports; concurrent.futures
     # (and the logging module it loads) is needed only to fan out
     code = "import sys, votebounds; print('concurrent.futures' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(votebounds.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out == "False\n"
+    assert run_python(["-c", code]) == "False\n"
+
+
+class TestBlasThreads:
+    # a CLI process asks OpenBLAS for one thread unless the user set a
+    # number; any other importer keeps its environment; numpy is always
+    # imported with the package
+    PROBE = ("import os, sys, votebounds\n"
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)\n")
+    # what runpy leaves in sys while it imports the package for
+    # python -m votebounds error
+    AS_MODULE = ("import sys\n"
+                 "sys.argv[:] = ['-m', 'error']\n"
+                 "sys.orig_argv[:] = [sys.executable, '-m', 'votebounds', 'error']\n")
+
+    def test_library_import_leaves_it_unset(self):
+        assert run_python(["-c", self.PROBE]) == "None True\n"
+
+    @pytest.mark.parametrize("user, seen", [(None, "1"), ("3", "3")])
+    def test_module_run_sets_a_default(self, user, seen):
+        env = {} if user is None else {"OPENBLAS_NUM_THREADS": user}
+        assert run_python(["-c", self.AS_MODULE + self.PROBE], **env) == f"{seen} True\n"
+
+    @pytest.mark.parametrize("user, seen", [(None, "1"), ("3", "3")])
+    def test_console_script_sets_a_default(self, tmp_path, user, seen):
+        script = tmp_path / "votebounds"
+        script.write_text(self.PROBE)
+        env = {} if user is None else {"OPENBLAS_NUM_THREADS": user}
+        assert run_python([str(script)], **env) == f"{seen} True\n"
+
+    def test_another_module_run_leaves_it_unset(self, tmp_path):
+        # python -m runs with sys.argv[0] == "-m" for any module
+        (tmp_path / "probe").mkdir()
+        (tmp_path / "probe" / "__init__.py").write_text(self.PROBE)
+        (tmp_path / "probe" / "__main__.py").write_text("")
+        assert run_python(["-m", "probe"], cwd=tmp_path) == "None True\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["error", "PANEL"],
+        ["error", "PANEL", "--method", "mc", "--trials", "1000", "--seed", "3"],
+        ["bounds", "PANEL", "--with-exact"],
+    ], ids=["error", "error-mc", "bounds"])
+    def test_stdout_does_not_depend_on_it(self, distinct_path, argv):
+        argv = ["-m", "votebounds"] + [distinct_path if a == "PANEL" else a for a in argv]
+        argv += ["--format", "json"]
+        unset = run_python(argv)
+        assert json.loads(unset)
+        assert run_python(argv, OPENBLAS_NUM_THREADS="2") == unset

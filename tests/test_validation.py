@@ -3,7 +3,9 @@
 Each row is a call that once escaped as a raw TypeError, ValueError or
 OverflowError, or was accepted: a float or bool worker count, a bool
 panel path that open() takes for a file descriptor, a number written as
-a string, or an integer too large for a float.
+a string, or an integer too large for a float. Each row of
+MALFORMED_PANEL_FILES is a panel file that once escaped as a
+RecursionError or was read with its last repeated key winning.
 """
 
 import math
@@ -78,6 +80,24 @@ MALFORMED = {
 def test_malformed_call_raises_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+MALFORMED_PANEL_FILES = {
+    "nested-arrays": ("[" * 100000, "nests too deeply"),
+    "nested-objects": ('{"psi": ' * 100000, "nests too deeply"),
+    "repeated-key": ('{"psi": [0.9], "eta": [0.8], "psi": [0.7]}', "repeats the key 'psi'"),
+    "repeated-inner-key": ('{"psi": [0.9], "eta": [0.8], "p_y": {"a": 1, "a": 2}}',
+                           "repeats the key 'a'"),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_PANEL_FILES.values(),
+                         ids=MALFORMED_PANEL_FILES.keys())
+def test_malformed_panel_file_raises_validation_error(tmp_path, text, message):
+    path = tmp_path / "panel.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=message):
+        load_panel(path)
 
 
 POINTS = [0.0, 0.5, 1.0, -0.1, math.nan, math.inf]
