@@ -34,6 +34,7 @@ from .core import (
     ProductBernoulli,
     ValidationError,
     _check_panel,
+    _shown,
     _vector,
     fold_bias,
 )
@@ -338,7 +339,7 @@ def counterexample_sweep(kind: str, eps_grid) -> list[SweepRow]:
     rounds to 1 and the panel holds a deterministic expert.
     """
     if kind not in SWEEP_KINDS:
-        raise ValidationError(f"sweep kind must be one of {SWEEP_KINDS}, got {kind!r}")
+        raise ValidationError(f"sweep kind must be one of {SWEEP_KINDS}, got {_shown(kind)}")
     rows = []
     for e in _vector(eps_grid, "eps", f"[{2.0 ** -53!r}, 1)").tolist():
         if kind == "asym":

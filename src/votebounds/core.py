@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -32,6 +33,27 @@ __all__ = [
 
 class ValidationError(ValueError):
     """Raised when inputs fail a structural or range check."""
+
+
+_ECHO = reprlib.Repr()
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 80
+
+
+def _shown(value, form=repr) -> str:
+    """form(value), repr or str, as an error message echoes it: at most
+    80 characters, cut in the middle when longer. Call it only to raise.
+
+    A repr is reprlib's, which abbreviates containers past 6 items or 6
+    levels without building their whole repr, so a long or deeply nested
+    value costs little; a short value prints as repr(value) does.
+    """
+    try:
+        text = str(value) if form is str else _ECHO.repr(value)
+    except ValueError:  # an int past the 4300 digits that str() prints
+        text = f"<{type(value).__name__} too large to print>"
+    if len(text) > _ECHO.maxother:
+        text = f"{text[:38]}...{text[-39:]}"
+    return text
 
 
 def _inside(x, interval: str):
@@ -75,9 +97,9 @@ def _scalar(value, name: str, interval: str = "(-inf, inf)") -> float:
             raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+        raise ValidationError(f"{name} must be a real number, got {_shown(value)}") from None
     if not _inside(x, interval):
-        raise ValidationError(f"{name} = {value!r} must lie in {interval}")
+        raise ValidationError(f"{name} = {_shown(value)} must lie in {interval}")
     return x
 
 
@@ -85,9 +107,9 @@ def _integer(value, name: str, least: int | None = 1) -> int:
     """value as an int. It must be an int or numpy integer, not a bool, and
     at least `least` unless that is None."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {_shown(value)}")
     if least is not None and value < least:
-        raise ValidationError(f"{name} must be >= {least}, got {value}")
+        raise ValidationError(f"{name} must be >= {least}, got {_shown(value, str)}")
     return int(value)
 
 
@@ -174,7 +196,7 @@ def validate_panel(raw: Mapping) -> ExpertPanel:
         raise ValidationError(f"panel data must be a mapping, got {type(raw).__name__}")
     unknown = sorted(set(raw) - _PANEL_KEYS)
     if unknown:
-        raise ValidationError(f"unknown panel keys: {', '.join(map(str, unknown))}")
+        raise ValidationError(f"unknown panel keys: {_shown(', '.join(map(str, unknown)), str)}")
     for key in ("psi", "eta"):
         if key not in raw:
             raise ValidationError(f"panel data is missing required key {key!r}")
@@ -187,7 +209,7 @@ def _refuse_repeated_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValidationError(f"repeats the key {key!r}")
+            raise ValidationError(f"repeats the key {_shown(key)}")
         obj[key] = value
     return obj
 
@@ -199,7 +221,8 @@ def load_panel(path) -> ExpertPanel:
     opened as a file descriptor. A key repeated within an object, or
     nesting too deep for the parser, is refused."""
     if not isinstance(path, (str, bytes, os.PathLike)):
-        raise ValidationError(f"panel path must be a str, bytes or os.PathLike, got {path!r}")
+        raise ValidationError(
+            f"panel path must be a str, bytes or os.PathLike, got {_shown(path)}")
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_refuse_repeated_keys)

@@ -17,17 +17,18 @@ Every pair is first reduced exactly (see _reduce):
   disjoint supports, and the result is exactly (0, 2).
 The same reduction stands in front of the Monte Carlo overlap
 estimator, which samples only the interior coordinates it leaves.
-When the product of the remaining factors has at most 2^12 points it is
-summed whole. Larger products meet in the middle (Horowitz and Sahni,
-1974): two halves of balanced table size, one sorted by log ratio and
-searched with the sorted thresholds of the other; see _overlap. Time
-and memory grow like the square root of the reduced table, so panels
-with duplicate, uninformative or boundary experts take less time than
-panels of distinct interior experts. The cap bounds log2 of the reduced
-table, the product of the factor sizes, so n distinct interior experts
-count n against it and duplicate, uninformative or boundary experts
-count less. Exact work is serial and takes no worker count; only the
-Monte Carlo estimators run threads.
+A pair the reduction empties (every coordinate equal or peeled, or
+disjoint supports) is answered exactly from its scalars, by both
+methods. Every other reduced table meets in the middle (Horowitz and
+Sahni, 1974): two halves of balanced table size, one sorted by log
+ratio and searched with the sorted thresholds of the other; see
+_overlap. Time and memory grow like the square root of the reduced
+table, so panels with duplicate, uninformative or boundary experts take
+less time than panels of distinct interior experts. The cap bounds log2
+of the reduced table, the product of the factor sizes, so n distinct
+interior experts count n against it and duplicate, uninformative or
+boundary experts count less. Exact work is serial and takes no worker
+count; only the Monte Carlo estimators run threads.
 """
 
 from __future__ import annotations
@@ -52,14 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_N_MAX = 24
-
-# Up to 2**_WHOLE_TABLE_N_MAX points in the reduced table a plain sum over
-# it beats the sort of the meet-in-the-middle split. Both are equally
-# accurate (about 3e-16 relative against an exact fractions sum, n <= 8),
-# but on a 2-vCPU Xeon (Python 3.11, numpy 2.4) at n = 2 the split takes
-# about 106 us and the whole table 45 us. Without this path the six n = 2 sweeps of acceptance
-# criterion 03 took 0.54-1.37 ms against its 1 ms gate and failed 2 of 5 runs.
-_WHOLE_TABLE_N_MAX = 12
 
 
 class EnumerationLimitError(ValueError):
@@ -111,8 +104,6 @@ def _binomial(m: int, p: float) -> list[float]:
 
 def _point_mass_share(d: float, r: float, m: int) -> tuple[float, float]:
     """(w, 1 - w) for w the mass that m coordinates of rate r put on all-d."""
-    if m == 1:
-        return (r, 1.0 - r) if d == 1.0 else (1.0 - r, r)
     log_w = m * (math.log(r) if d == 1.0 else math.log1p(-r))
     return math.exp(log_w), -math.expm1(log_w)
 
@@ -168,16 +159,17 @@ def _halves(factors: list) -> tuple[list, list]:
     return halves
 
 
-def _sorted_by_log_ratio(table: np.ndarray, num: int):
-    """(keys, P row, Q row) in increasing key order.
+def _sorted_by_log_ratio(table: np.ndarray):
+    """(keys, row 0, row 1) in increasing key order.
 
-    The key of a point is log table[num] - log table[1 - num]. Points
+    The key of a point is log table[0] - log table[1], so a table passed
+    with its rows swapped, Q first, is keyed by log Q - log P. Points
     with P = Q = 0 get NaN keys; NaN sorts and searches last, and such
     points add nothing to either sum wherever they land.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        key = np.log(table[num])
-        key -= np.log(table[1 - num])
+        key = np.log(table[0])
+        key -= np.log(table[1])
     order = np.argsort(key)
     return key[order], table[0][order], table[1][order]
 
@@ -209,9 +201,10 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
     """(sum of min(P, Q), sum of |P - Q|) over the cube, accumulated apart.
 
     The pair is reduced first (see _reduce), and a reduced table of more
-    than 2^n_max points is refused. A small reduced table is summed
-    whole; the factors of a larger one are split into halves A and B.
-    For a point (x, y) with x in A and y in B,
+    than 2^n_max points is refused. A pair the reduction empties has the
+    one point of mass a under P and b under Q. The factors of any other
+    table are split into halves A and B; A is empty when there is one
+    factor. For a point (x, y) with x in A and y in B,
     a P(x, y) <= b Q(x, y) exactly when
     log P_B(y) - log Q_B(y) <= log b Q_A(x) - log a P_A(x), so with B
     sorted by that ratio P is the minimum on a prefix and Q on the
@@ -231,18 +224,17 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
             f"n = {P.n} reduces to a table of {size} points, more than 2^{n_max}: "
             f"exceeds the enumeration cap n_max = {n_max}"
         )
+    if not groups:
+        return min(a, b), spill + abs(a - b)
     # one binomial factor per group of m > 1 coordinates, largest first,
     # then the two-state factors of single coordinates in order
     factors = sorted((np.array((_binomial(m, p), _binomial(m, q)))
                       for p, q, m in groups if m > 1), key=lambda f: f.shape[1], reverse=True)
     factors.extend(_bernoulli([p for p, _, m in groups if m == 1],
                               [q for _, q, m in groups if m == 1]))
-    if size <= 1 << _WHOLE_TABLE_N_MAX:
-        tp, tq = _mass_table(factors, (a, b))
-        return float(np.sum(np.minimum(tp, tq))), spill + float(np.sum(np.abs(tp - tq)))
     half_a, half_b = _halves(factors)
-    ratio_b, pb, qb = _sorted_by_log_ratio(_mass_table(half_b), 0)
-    thresh_a, pa, qa = _sorted_by_log_ratio(_mass_table(half_a, (a, b)), 1)
+    ratio_b, pb, qb = _sorted_by_log_ratio(_mass_table(half_b))
+    thresh_a, qa, pa = _sorted_by_log_ratio(_mass_table(half_a, (a, b))[::-1])
     k = np.searchsorted(ratio_b, thresh_a, side="right")
     del ratio_b, thresh_a
     p_low, p_high = _below_above(pb, k)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ExpertPanel, ValidationError, _check_panel, _scalar, _vector
+from .core import ExpertPanel, ValidationError, _check_panel, _scalar, _shown, _vector
 
 __all__ = ["DecisionRule", "build_rule", "DEFAULT_CLAMP_EPSILON"]
 
@@ -79,7 +79,7 @@ class DecisionRule:
             votes = list(x)
             bits = [int(b) for b in votes]
         except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"vote vector {x!r} is not a bit sequence") from None
+            raise ValidationError(f"vote vector {_shown(x)} is not a bit sequence") from None
         if len(bits) != self.n:
             raise ValidationError(
                 f"vote vector has length {len(bits)}, rule expects {self.n}"
@@ -87,7 +87,7 @@ class DecisionRule:
         for i, (b, v) in enumerate(zip(votes, bits)):
             # int() would also read " 1", "+1", "01" and other digits
             if not (b in ("0", "1") if isinstance(b, str) else v in (0, 1) and b == v):
-                raise ValidationError(f"vote {i} is {b}, expected 0 or 1")
+                raise ValidationError(f"vote {i} is {_shown(b, str)}, expected 0 or 1")
         return bits
 
     def _bit_rows(self, xs) -> np.ndarray:
@@ -111,7 +111,7 @@ class DecisionRule:
         try:
             indexed = enumerate(xs[k:] if k else xs, k)
         except TypeError:  # a number or a 0-d array, say
-            raise ValidationError(f"batch {xs!r} is not a sequence of rows") from None
+            raise ValidationError(f"batch {_shown(xs)} is not a sequence of rows") from None
         rows = []
         for idx, row in indexed:
             try:

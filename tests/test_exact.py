@@ -58,8 +58,8 @@ class TestMinMass:
         assert_allclose(got, 0.2, atol=1e-12)
 
     def test_matches_brute_enumeration(self, rng):
-        # every n up to 14, so both the whole-table sum and the
-        # meet-in-the-middle split (even and odd halves) are reached
+        # every n up to 14, so the meet-in-the-middle split runs with an
+        # empty half A (n = 1) and with even and odd halves
         for n in [*range(1, 15), *rng.integers(1, 15, 16)]:
             p, q = random_pair(rng, int(n))
             assert_allclose(
@@ -118,7 +118,7 @@ class TestMinMass:
 
 @st.composite
 def reducible_pairs(draw):
-    """Pairs past the whole-table cut that use every reduction rule.
+    """Pairs of 13 to 15 coordinates that use every reduction rule.
 
     Each pair holds a coordinate with one deterministic side, one with
     p_i == q_i and one interior coordinate, repeated so that duplicates
@@ -191,7 +191,8 @@ class TestPanelReduction:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_whole_table_sizes_are_exact(self, rng, n):
-        # the reduction runs in front of the whole-table sum too
+        # disjoint supports and equal laws leave no factor at any size,
+        # and the kernel answers both from the reduction's scalars
         p, q = rng.uniform(0.1, 0.9, n), rng.uniform(0.1, 0.9, n)
         i = int(rng.integers(n))
         p[i], q[i] = 1.0, 0.0
@@ -201,6 +202,44 @@ class TestPanelReduction:
         R = ProductBernoulli(rng.uniform(0.05, 0.95, n))
         assert min_mass(R, R) == 1.0
         assert tv_distance(R, R) == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 4095, 4096])
+    @pytest.mark.parametrize("p, q", [(0.75, 0.25), (0.375, 0.25), (0.25, 0.75)])
+    def test_one_factor_leaves_half_a_empty(self, m, p, q):
+        # m identical interior experts reduce to one (m + 1)-point factor,
+        # which half B takes whole
+        P, Q = ProductBernoulli(np.full(m, p)), ProductBernoulli(np.full(m, q))
+        assert_allclose(min_mass(P, Q), oracles.binomial_min_mass([m], [p], [q]), rtol=1e-12)
+        assert_allclose(tv_distance(P, Q), oracles.binomial_tv([m], [p], [q]), rtol=1e-12)
+
+    @pytest.mark.parametrize("counts, size", [
+        ([2, 2, 4, 6, 12], 4095),
+        ([1] * 12, 4096),
+        ([16, 240], 4097),
+        ([2, 2730], 8193),
+    ])
+    def test_tables_near_4096_points(self, counts, size):
+        # dyadic rates keep the exact-integer oracle fast; each type is a
+        # distinct (p, q) pair, so the reduced table has size points
+        rates = [0.125, 0.25, 0.375, 0.625, 0.75, 0.875]
+        pairs = [(p, q) for p in rates for q in rates if p != q][::2][:len(counts)]
+        p, q = map(list, zip(*pairs))
+        assert math.prod(m + 1 for m in counts) == size
+        P, Q = ProductBernoulli(np.repeat(p, counts)), ProductBernoulli(np.repeat(q, counts))
+        assert_allclose(min_mass(P, Q), oracles.binomial_min_mass(counts, p, q), rtol=1e-12)
+        assert_allclose(tv_distance(P, Q), oracles.binomial_tv(counts, p, q), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    def test_one_deterministic_side_everywhere(self, rng, n):
+        # criterion 01's family: every coordinate peels into the scalars,
+        # so the reduction leaves no factor and no table is built
+        ends = rng.integers(0, 2, n).astype(float)
+        rates = rng.choice([0.125, 0.25, 0.375, 0.625, 0.75, 0.875], n)
+        p_side = rng.integers(0, 2, n).astype(bool)
+        p, q = np.where(p_side, ends, rates), np.where(p_side, rates, ends)
+        P, Q = ProductBernoulli(p), ProductBernoulli(q)
+        assert_allclose(min_mass(P, Q), oracles.brute_min_mass(p, q), rtol=1e-12)
+        assert_allclose(tv_distance(P, Q), oracles.brute_tv(p, q), rtol=1e-12)
 
     def test_cap_counts_the_reduced_table(self):
         # 25 identical experts reduce to one 26-state factor, well inside

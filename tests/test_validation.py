@@ -1,11 +1,13 @@
 """Every malformed argument to a public function raises ValidationError.
 
 Each row is a call that once escaped as a raw TypeError, ValueError or
-OverflowError, or was accepted: a float or bool worker count, a bool
-panel path that open() takes for a file descriptor, a number written as
-a string, or an integer too large for a float. Each row of
-MALFORMED_PANEL_FILES is a panel file that once escaped as a
-RecursionError or was read with its last repeated key winning.
+OverflowError, was accepted, or echoed its whole argument: a float or
+bool worker count, a bool panel path that open() takes for a file
+descriptor, a number written as a string, an integer too large for a
+float, or a list of 5000 entries. Each row of MALFORMED_PANEL_FILES is a
+panel file that once escaped as a RecursionError, was read with its last
+repeated key winning, or was echoed in full. Every message is at most
+ECHO_MAX characters, not counting the panel file's path.
 """
 
 import math
@@ -29,12 +31,13 @@ from votebounds import (
     upper_bound,
     validate_panel,
 )
-from votebounds.core import _inside
+from votebounds.core import _inside, _shown
 
 PANEL = ExpertPanel(psi=[0.9, 0.6], eta=[0.8, 0.7])
 P = ProductBernoulli([0.9, 0.6])
 Q = ProductBernoulli([0.2, 0.3])
 RULE = build_rule(PANEL)
+ECHO_MAX = 200
 
 MALFORMED = {
     "committee_potential-string": lambda: committee_potential("abc"),
@@ -73,13 +76,26 @@ MALFORMED = {
     "ProductBernoulli-huge-int": lambda: ProductBernoulli([10**400]),
     "rule-huge-int-weights": lambda: DecisionRule(
         offset=0.0, vote_one_weights=[10**400], vote_zero_weights=[-1.0]),
+    # an integer past the 4300 digits that str() prints
+    "panel-p_y-int-past-str-limit": lambda: ExpertPanel(psi=[0.9], eta=[0.8], p_y=10**5000),
+    # values echoed in the message, abbreviated
+    "simulate-list-trials": lambda: simulate_error(PANEL, [1] * 5000, 1),
+    "decide-nested-vote-vector": lambda: RULE.decide([[1] * 5000]),
 }
 
 
 @pytest.mark.parametrize("call", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_call_raises_validation_error(call):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         call()
+    assert len(str(exc.value)) <= ECHO_MAX
+
+
+@pytest.mark.parametrize("key, field", [("simulate-list-trials", "trials"),
+                                        ("decide-nested-vote-vector", "vote vector")])
+def test_abbreviated_message_names_the_field(key, field):
+    with pytest.raises(ValidationError, match=f"^{field} "):
+        MALFORMED[key]()
 
 
 MALFORMED_PANEL_FILES = {
@@ -88,6 +104,12 @@ MALFORMED_PANEL_FILES = {
     "repeated-key": ('{"psi": [0.9], "eta": [0.8], "psi": [0.7]}', "repeats the key 'psi'"),
     "repeated-inner-key": ('{"psi": [0.9], "eta": [0.8], "p_y": {"a": 1, "a": 2}}',
                            "repeats the key 'a'"),
+    "nested-p_y": ('{"psi": [0.9], "eta": [0.8], "p_y": ' + "[" * 900 + "0.5" + "]" * 900 + "}",
+                   r"^p_y must be a real number, got \[\[\["),
+    "long-p_y": ('{"psi": [0.9], "eta": [0.8], "p_y": [' + ", ".join(["0.5"] * 5000) + "]}",
+                 r"^p_y must be a real number, got \[0.5, "),
+    "long-unknown-key": ('{"psi": [0.9], "eta": [0.8], "' + "x" * 5000 + '": 1}',
+                         "^unknown panel keys: xxx"),
 }
 
 
@@ -96,8 +118,9 @@ MALFORMED_PANEL_FILES = {
 def test_malformed_panel_file_raises_validation_error(tmp_path, text, message):
     path = tmp_path / "panel.json"
     path.write_text(text)
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(ValidationError, match=message) as exc:
         load_panel(path)
+    assert len(str(exc.value).replace(str(path), "")) <= ECHO_MAX
 
 
 POINTS = [0.0, 0.5, 1.0, -0.1, math.nan, math.inf]
@@ -113,3 +136,19 @@ POINTS = [0.0, 0.5, 1.0, -0.1, math.nan, math.inf]
 def test_interval_ends(interval, inside):
     assert _inside(np.array(POINTS), interval).tolist() == inside
     assert [_inside(x, interval) for x in POINTS] == inside
+
+
+SHORT_VALUES = ["0.3", b"0.5", 0.1, -3, np.float64(0.7), np.int64(-2), None, [0, 2],
+                [[1, 0]], (1,), {"a": 1}, "x" * 78, 10**79]
+
+
+@pytest.mark.parametrize("value", SHORT_VALUES, ids=map(repr, SHORT_VALUES))
+def test_short_values_print_in_full(value):
+    assert _shown(value) == repr(value)
+    assert _shown(value, str) == str(value)
+
+
+@pytest.mark.parametrize("value", ["x" * 81, 10**80, [0.5] * 5000, list(range(7))])
+def test_long_values_are_abbreviated(value):
+    assert len(_shown(value)) <= 80
+    assert "..." in _shown(value)
