@@ -21,7 +21,7 @@ import json
 import sys
 
 from .bounds import SWEEP_KINDS, counterexample_sweep, full_report, hellinger_envelopes
-from .core import ProductBernoulli, ValidationError, fold_bias, load_panel
+from .core import ProductBernoulli, ValidationError, _shown, fold_bias, load_panel
 from .exact import DEFAULT_N_MAX, EnumerationLimitError, affinity, optimal_error
 from .montecarlo import estimate_min_mass, simulate_error
 from .rule import build_rule
@@ -68,7 +68,7 @@ def _csv_floats(text: str):
     try:
         values = [float(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of numbers")
+        raise argparse.ArgumentTypeError(f"{_shown(text)} is not a comma-separated list of numbers")
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
     return values
@@ -76,7 +76,7 @@ def _csv_floats(text: str):
 
 def _bits(text: str):
     if not text or any(c not in "01" for c in text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a string over 0 and 1")
+        raise argparse.ArgumentTypeError(f"{_shown(text)} is not a string over 0 and 1")
     return [int(c) for c in text]
 
 
@@ -84,9 +84,9 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        raise argparse.ArgumentTypeError(f"{_shown(text)} is not an integer")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {_shown(value, str)}")
     return value
 
 

@@ -233,7 +233,9 @@ def load_panel(path) -> ExpertPanel:
     except RecursionError:
         raise ValidationError(f"panel file {path} nests too deeply to parse") from None
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-        raise ValidationError(f"cannot read panel file {path}: {exc}") from None
+        # an OSError with a filename repeats the path in its str()
+        reason = exc.strerror if getattr(exc, "filename", None) is not None else exc
+        raise ValidationError(f"cannot read panel file {path}: {reason}") from None
     return validate_panel(raw)
 
 

@@ -22,9 +22,11 @@ then one table entry per byte, byte by byte in index order: one lookup
 per 8 votes, on packed votes that take an eighth of the memory of bools.
 
 `decide_batch` certifies the longest leading run of rows that numpy
-holds as a numeric (k, n) array with one vectorized 0/1 test; a list of
-int lists is read through `bytes`, not `np.asarray`. Only the rows from
-the first uncertified one on (the first bad row, or the first in a form
+holds as a numeric (k, n) array with one vectorized 0/1 test in two
+passes, `bits = x != 0` and `x == bits`, since 0 and 1 are the only
+numbers equal to their own truth value; a list of int lists is read row
+by row through `bytearray`, not `np.asarray`. Only the rows from the
+first uncertified one on (the first bad row, or the first in a form
 numpy cannot hold, such as a bit string) are checked one by one.
 """
 
@@ -102,10 +104,11 @@ class DecisionRule:
         head = self._leading_run(xs) if seq else _numeric(xs, self.n)
         k = 0
         if head is not None:
-            ok = (head == 0) | (head == 1)
+            bits = head != 0
+            ok = head == bits  # only 0 and 1 equal their own truth value
             k = len(head) if ok.all() else int(ok.all(axis=1).argmin())
             if k == len(head) and (not seq or k == len(xs)):
-                return head != 0
+                return bits
             if not (seq or isinstance(xs, np.ndarray)):
                 k = 0  # an array-like need not slice like its rows
         try:
@@ -119,26 +122,27 @@ class DecisionRule:
             except ValidationError as exc:
                 raise ValidationError(f"input {idx}: {exc}") from None
         tail = np.array(rows, dtype=bool).reshape(len(rows), self.n)
-        return np.concatenate([head[:k] != 0, tail]) if k else tail
+        return np.concatenate([bits[:k], tail]) if k else tail
 
     def _leading_run(self, rows) -> np.ndarray:
         """The longest leading run of a row sequence that numpy holds as a
         numeric (k, n) array; k may be 0. A run of int lists ends at a row
-        that `bytes` cannot read and that holds anything but 0s and 1s."""
+        that `bytearray` cannot read and that holds anything but 0s and 1s."""
         n = self.n
+        types = set(map(type, rows))
         try:
-            fits = (set(map(type, rows)) <= _ROW_TYPES
-                    and set(map(len, rows)) <= {n})
+            fits = types <= _ROW_TYPES and set(map(len, rows)) <= {n}
         except TypeError:  # a 0-d array row
             fits = False
         if not fits:
             rows = rows[:next(i for i, r in enumerate(rows)
                               if type(r) not in _ROW_TYPES
                               or getattr(r, "ndim", 1) != 1 or len(r) != n)]
+            types = set(map(type, rows))
         chunks = []
-        if set(map(type, rows)) <= {list}:  # bytes(5), bytes(ndarray) read no votes
+        if types <= {list}:  # bytearray(5), bytearray(ndarray) read no votes
             try:
-                chunks.extend(map(bytes, rows))  # keeps the rows before an error
+                chunks.extend(map(bytearray, rows))  # keeps the rows before an error
             except (TypeError, ValueError):  # floats, strings, None, ints past 255
                 try:
                     floats = set(rows[len(chunks)]) <= {0, 1}  # 0.0 == 0

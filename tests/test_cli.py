@@ -421,6 +421,25 @@ class TestExitMatrix:
     def test_zero_threads_is_usage_error(self, counterexample_path):
         assert main(["error", counterexample_path, "--threads", "0"]) == 2
 
+    def test_short_bad_argument_is_echoed_whole(self, capsys):
+        assert main(["tv", "--p", "x", "--q", "0.5"]) == 2
+        assert "argument --p: 'x' is not a comma-separated list of numbers\n" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["tv", "--p", "BAD", "--q", "0.5"],
+        ["sweep", "--kind", "sym", "--eps", "BAD"],
+        ["decide", "PANEL", "--x", "BAD"],
+        ["simulate", "PANEL", "--trials", "BAD", "--seed", "1"],
+    ], ids=["tv", "sweep", "decide", "simulate"])
+    def test_long_bad_argument_is_echoed_cut(self, distinct_path, capsys, argv):
+        bad = "x," * 2500
+        option = argv[argv.index("BAD") - 1]
+        assert main([{"PANEL": distinct_path, "BAD": bad}.get(a, a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err) < 1000
+        assert f"argument {option}: " in err
+
     @pytest.mark.parametrize("argv, remedy, retry", [
         (["error", "PANEL"], "--method mc, without --n-max",
          ["error", "PANEL", "--method", "mc", "--trials", "1000"]),

@@ -124,6 +124,15 @@ class TestLoadPanel:
         with pytest.raises(ValidationError):
             load_panel(tmp_path / "absent.json")
 
+    def test_unreadable_path_is_named_once(self, tmp_path):
+        # an OSError's own text repeats the path it failed on
+        path = str(tmp_path / ("p" * 5000))
+        with pytest.raises(ValidationError, match="cannot read panel file") as info:
+            load_panel(path)
+        message = str(info.value)
+        assert message.count(path) == 1
+        assert len(message) < len(path) + 100
+
     def test_malformed_json_raises_validation_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -259,6 +259,9 @@ BATCH_FORMS = [
     ("ndarray-i", lambda rows: np.array(rows, dtype=np.int64)),
     ("ndarray-u", lambda rows: np.array(rows, dtype=np.uint8)),
     ("ndarray-f", lambda rows: np.array(rows, dtype=np.float64)),
+    ("ndarray-f32", lambda rows: np.array(rows, dtype=np.float32)),
+    ("ndarray-f16", lambda rows: np.array(rows, dtype=np.float16)),
+    ("ndarray-i8", lambda rows: np.array(rows, dtype=np.int8)),
     ("generator", lambda rows: (list(r) if type(r) is list else r for r in rows)),
 ] + [
     (f"{name}s", _rows(lambda i, m, name=name: name)) for name in ROW_FORMS
@@ -280,9 +283,13 @@ ROW_CORRUPTIONS = [
     ("int row", lambda row: 1),
     ("wrong-width ndarray", lambda row: np.zeros(len(row) + 1, dtype=np.uint8)),
 ]
+FLOAT_HOLDS = ("2", "-1", "256", "0.7", "nan", "inf")
 NDARRAY_HOLDS = {"ndarray-b": (), "ndarray-i": ("2", "-1", "256"),
-                 "ndarray-u": ("2",),
-                 "ndarray-f": ("2", "-1", "256", "0.7", "nan", "inf")}
+                 "ndarray-u": ("2",), "ndarray-i8": ("2", "-1"), "ndarray-f": FLOAT_HOLDS,
+                 "ndarray-f32": FLOAT_HOLDS, "ndarray-f16": FLOAT_HOLDS}
+# votes of other types inside an int list; some are legal, some are not
+ODD_VOTES = [True, False, np.int64(1), np.uint8(0), np.float64(1.0), -0.0,
+             10**400, [0, 1]]
 
 
 def _outcome(fn):
@@ -320,9 +327,40 @@ class TestBatchMatchesPerRowCheck:
                         assert message.startswith(f"input {at}: ")
         assert outcomes == {"error"}
 
+    @pytest.mark.parametrize("vote", ODD_VOTES, ids=lambda v: type(v).__name__)
+    def test_odd_vote_in_int_lists(self, rng, vote):
+        rule = build_rule(ExpertPanel(psi=[0.5, 0.75, 0.75, 0.5] * 2,
+                                      eta=[0.75, 0.5, 0.5, 0.75] * 2))
+        base = rng.integers(0, 2, (9, rule.n)).tolist()
+        for at in (0, 4, 8):
+            for i in (0, rule.n - 1):
+                rows = [list(r) for r in base]
+                rows[at][i] = vote
+                kind, message = self.check(rule, lambda: [list(r) for r in rows])
+                legal = not isinstance(vote, list) and vote in (0, 1)
+                assert kind == ("decisions" if legal else "error")
+                if kind == "error":
+                    assert message.startswith(f"input {at}: ")
+
+    @pytest.mark.parametrize("form", [bytes, bytearray])
+    def test_byte_string_row(self, rng, form):
+        rule = build_rule(ExpertPanel(psi=[0.9, 0.6, 0.7], eta=[0.8, 0.7, 0.6]))
+        base = rng.integers(0, 2, (9, rule.n)).tolist()
+        outcomes = set()
+        for row in ([1, 0, 1], [0, 2, 1], [48, 49, 48]):  # 48 is b"0"[0]
+            for at in (0, 4, 8):
+                rows = [list(r) for r in base]
+                rows[at] = row
+                kind, message = self.check(
+                    rule, lambda: [form(r) if i == at else list(r) for i, r in enumerate(rows)])
+                outcomes.add(kind)
+                if kind == "error":
+                    assert message.startswith(f"input {at}: ")
+        assert outcomes == {"decisions", "error"}
+
     def test_wrong_width_ndarray_batch(self):
         rule = build_rule(ExpertPanel(psi=[0.9, 0.6], eta=[0.8, 0.7]))
-        for dtype in (bool, np.int64, np.uint8, np.float64):
+        for dtype in (bool, np.int64, np.uint8, np.float64, np.float32, np.float16, np.int8):
             for shape in ((3, 3), (3, 1), (0, 3)):
                 self.check(rule, lambda: np.ones(shape, dtype=dtype))
 
@@ -378,7 +416,7 @@ class TestBatchCheckCount:
 
     @pytest.mark.parametrize("bad", [-1, 256, 0.7, math.nan, "2", None])
     def test_bad_list_row_skips_the_numpy_reading(self, monkeypatch, calls, rule, x, bad):
-        # the rows before the one `bytes` stopped at are certified as read
+        # the rows before the one `bytearray` stopped at are certified as read
         count = [0]
         numeric = votebounds.rule._numeric
 
