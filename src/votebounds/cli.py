@@ -33,6 +33,25 @@ class _UsageError(Exception):
     """Flag combination that argparse alone cannot reject."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors echo each argument through
+    core._shown, as the type checkers here do, so a long one is cut to
+    80 characters; the lists of valid choices print whole."""
+
+    _args: tuple = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse hands each subcommand's parser its own arguments here
+        self._args = tuple(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        # an --option=value argument may be echoed as its value alone
+        for text in (t for arg in self._args for t in (arg, arg.partition("=")[2])):
+            message = message.replace(repr(text), _shown(text)).replace(text, _shown(text, str))
+        super().error(message)
+
+
 def _fmt(x: float, sig: int) -> str:
     return f"{x:.{sig}g}"
 
@@ -80,11 +99,15 @@ def _bits(text: str):
     return [int(c) for c in text]
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{_shown(text)} is not an integer")
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {_shown(value, str)}")
     return value
@@ -187,7 +210,7 @@ def _add_n_max(sub, default=DEFAULT_N_MAX, only="") -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="votebounds",
         description="Optimal aggregation of independent binary experts: "
                     "exact error, bounds, Monte Carlo.",
@@ -213,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(default exact)")
     sub.add_argument("--trials", type=_positive_int, default=None, metavar="N",
                      help="Monte Carlo trials (mc only, default 1000000)")
-    sub.add_argument("--seed", type=int, default=None, metavar="S",
+    sub.add_argument("--seed", type=_int, default=None, metavar="S",
                      help="Monte Carlo seed (mc only, default 0)")
     # None marks a flag not given, which --method must allow
     _add_n_max(sub, None, "exact only, ")
@@ -250,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("simulate", help="simulate the generative process")
     sub.add_argument("panel", help="path to a JSON panel file")
     sub.add_argument("--trials", type=_positive_int, required=True, metavar="N")
-    sub.add_argument("--seed", type=int, required=True, metavar="S")
+    sub.add_argument("--seed", type=_int, required=True, metavar="S")
     _add_threads(sub)
     _add_format(sub)
     sub.set_defaults(handler=_cmd_simulate)

@@ -6,7 +6,8 @@ for extreme parameters are acceptable in such sums. Exact work is capped
 at a reduced table of 2^n_max points (n_max 24 by default); larger
 instances must go through the Monte Carlo estimators instead.
 
-Every pair is first reduced exactly (see _reduce):
+Every pair is first reduced exactly to the record _Reduced, whose
+docstring states the identity both methods rest on:
 - coordinates with p_i == q_i drop out;
 - m coordinates sharing one interior (p_i, q_i) pair become one
   (m + 1)-state binomial factor;
@@ -108,29 +109,47 @@ def _point_mass_share(d: float, r: float, m: int) -> tuple[float, float]:
     return math.exp(log_w), -math.expm1(log_w)
 
 
-def _reduce(p: np.ndarray, q: np.ndarray):
-    """Exact reduction of a pair of product laws to interior groups.
+@dataclass(frozen=True)
+class _Reduced:
+    """A pair of product laws P and Q after the exact reduction of _reduce.
 
-    Returns (groups, a, b, spill). groups lists one (p, q, m) per distinct
-    interior pair p != q, with m its number of coordinates, in order of
-    first appearance; P' and Q' are the product laws of those coordinates.
-    Over the points y of their product
+    p, q and m hold one entry per distinct interior pair p != q, in order
+    of first appearance: its two rates and its number of coordinates.
+    P' and Q' are the product laws of those coordinates, each rate
+    repeated m times, and over the points y of their product
         sum_x min(P, Q) = sum_y min(a P'(y), b Q'(y)),
         sum_x |P - Q| = spill + sum_y |a P'(y) - b Q'(y)|.
+    With no groups the product has one point, of mass a under P and b
+    under Q. Disjoint supports give no groups, a = b = 0 and spill = 2.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+    m: np.ndarray
+    a: float
+    b: float
+    spill: float
+
+
+def _reduce(P: ProductBernoulli, Q: ProductBernoulli) -> _Reduced:
+    """The checked pair P, Q reduced exactly (see _Reduced).
+
     Coordinates with p_i == q_i drop out, and a group with exactly one
     deterministic side peels into the scalars: off its point mass that
-    side is zero, so all the other side's mass there is |P - Q|. Disjoint
-    supports give no groups, a = b = 0 and spill = 2.
+    side is zero, so all the other side's mass there is |P - Q|. a and b
+    are products of the peeled point masses, never exp of a log sum.
     """
+    _check_pair(P, Q)
     a = b = 1.0
     spill = 0.0
     groups = []
-    for (pi, qi), m in Counter(zip(p.tolist(), q.tolist())).items():
+    for (pi, qi), m in Counter(zip(P.p.tolist(), Q.p.tolist())).items():
         if pi == qi:
             continue
         p_det, q_det = pi in (0.0, 1.0), qi in (0.0, 1.0)
         if p_det and q_det:
-            return [], 0.0, 0.0, 2.0
+            groups, a, b, spill = [], 0.0, 0.0, 2.0
+            break
         if p_det:
             w, rest = _point_mass_share(pi, qi, m)
             spill += b * rest
@@ -141,7 +160,9 @@ def _reduce(p: np.ndarray, q: np.ndarray):
             a *= w
         else:
             groups.append((pi, qi, m))
-    return groups, a, b, spill
+    p, q, m = zip(*groups) if groups else ((), (), ())
+    return _Reduced(np.array(p, dtype=float), np.array(q, dtype=float),
+                    np.array(m, dtype=np.int64), a, b, spill)
 
 
 def _halves(factors: list) -> tuple[list, list]:
@@ -200,12 +221,11 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
              n_max: int) -> tuple[float, float]:
     """(sum of min(P, Q), sum of |P - Q|) over the cube, accumulated apart.
 
-    The pair is reduced first (see _reduce), and a reduced table of more
-    than 2^n_max points is refused. A pair the reduction empties has the
-    one point of mass a under P and b under Q. The factors of any other
-    table are split into halves A and B; A is empty when there is one
-    factor. For a point (x, y) with x in A and y in B,
-    a P(x, y) <= b Q(x, y) exactly when
+    The pair is reduced first, and a reduced table of more than 2^n_max
+    points is refused; both sums are then taken over the reduced pair
+    (see _Reduced). The factors of a nonempty table are split into
+    halves A and B; A is empty when there is one factor. For a point
+    (x, y) with x in A and y in B, a P(x, y) <= b Q(x, y) exactly when
     log P_B(y) - log Q_B(y) <= log b Q_A(x) - log a P_A(x), so with B
     sorted by that ratio P is the minimum on a prefix and Q on the
     suffix. A is sorted by its threshold too, so the search runs on
@@ -215,26 +235,26 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
     earlier in the call are reused without one.
     """
     n_max = _integer(n_max, "n_max")
-    _check_pair(P, Q)
-    groups, a, b, spill = _reduce(P.p, Q.p)
-    size = math.prod(m + 1 for _, _, m in groups)
+    r = _reduce(P, Q)
+    # a Python int product: an int64 one wraps past 2^63 points
+    size = math.prod((r.m + 1).tolist())
     # bit_length, not 1 << n_max: n_max is user input and may be huge
     if (size - 1).bit_length() > n_max:
         raise EnumerationLimitError(
             f"n = {P.n} reduces to a table of {size} points, more than 2^{n_max}: "
             f"exceeds the enumeration cap n_max = {n_max}"
         )
-    if not groups:
-        return min(a, b), spill + abs(a - b)
+    if not r.m.size:
+        return min(r.a, r.b), r.spill + abs(r.a - r.b)
     # one binomial factor per group of m > 1 coordinates, largest first,
     # then the two-state factors of single coordinates in order
     factors = sorted((np.array((_binomial(m, p), _binomial(m, q)))
-                      for p, q, m in groups if m > 1), key=lambda f: f.shape[1], reverse=True)
-    factors.extend(_bernoulli([p for p, _, m in groups if m == 1],
-                              [q for _, q, m in groups if m == 1]))
+                      for p, q, m in zip(r.p.tolist(), r.q.tolist(), r.m.tolist()) if m > 1),
+                     key=lambda f: f.shape[1], reverse=True)
+    factors.extend(_bernoulli(r.p[r.m == 1], r.q[r.m == 1]))
     half_a, half_b = _halves(factors)
     ratio_b, pb, qb = _sorted_by_log_ratio(_mass_table(half_b))
-    thresh_a, qa, pa = _sorted_by_log_ratio(_mass_table(half_a, (a, b))[::-1])
+    thresh_a, qa, pa = _sorted_by_log_ratio(_mass_table(half_a, (r.a, r.b))[::-1])
     k = np.searchsorted(ratio_b, thresh_a, side="right")
     del ratio_b, thresh_a
     p_low, p_high = _below_above(pb, k)
@@ -249,7 +269,7 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
     q_low -= p_low
     p_high -= q_high
     q_low += p_high
-    return overlap, spill + float(np.sum(q_low))
+    return overlap, r.spill + float(np.sum(q_low))
 
 
 def min_mass(P: ProductBernoulli, Q: ProductBernoulli, *,

@@ -23,6 +23,8 @@ are those of thresholding random() uniforms, without building a float
 per vote. Consecutive draws continue the block's stream, so the chunks
 hold exactly the votes of one whole-block draw.
 
+estimate_min_mass samples only the interior coordinates of the pair's
+exact reduction (see exact._Reduced).
 Each block is scored in one rule._scores call: the offset, then one
 256-entry table lookup per byte of 8 votes, byte by byte in index
 order. simulate_error counts the block's mismatches, and
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer
-from .exact import _check_pair, _reduce
+from .exact import _reduce
 from .rule import _byte_tables, _pack, _scores, build_rule
 
 __all__ = ["BLOCK_SIZE", "SimulationResult", "simulate_error", "estimate_min_mass"]
@@ -212,7 +214,7 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     """Unbiased estimate of the minimum-mass overlap of two product laws.
 
     The pair is first reduced exactly, as for enumeration (see
-    exact._reduce), to scalars a and b and the interior coordinates left,
+    exact._Reduced), to scalars a and b and the interior coordinates left,
     with product laws P' and Q'; the overlap is then
     a E[min(1, (b / a) Q'(x) / P'(x))] for x drawn from P'. Each trial
     draws x and scores the log ratio from log b - log a, so uninformative
@@ -224,14 +226,12 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     disjoint, no interior coordinate is left or a or b underflows to 0,
     the exact overlap min(a, b) returns with std_error 0.
     """
-    _check_pair(P, Q)
+    r = _reduce(P, Q)
     trials, seed, workers = _check_run(trials, seed, workers)
-    groups, a, b, _ = _reduce(P.p, Q.p)
-    if not groups or min(a, b) == 0.0:
-        return min(a, b), 0.0
-    p, q, counts = (np.array(column) for column in zip(*groups))
-    p, q = np.repeat(p, counts), np.repeat(q, counts)
-    offset = math.log(b) - math.log(a)
+    if not r.m.size or min(r.a, r.b) == 0.0:
+        return min(r.a, r.b), 0.0
+    p, q = np.repeat(r.p, r.m), np.repeat(r.q, r.m)
+    offset = math.log(r.b) - math.log(r.a)
     tables = _byte_tables(np.log(q) - np.log(p), np.log(1.0 - q) - np.log(1.0 - p))
     thresholds = _thresholds(p)
 
@@ -249,4 +249,4 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
         total_sq += s2
     estimate = total / trials
     variance = max(0.0, total_sq / trials - estimate * estimate)
-    return a * estimate, a * math.sqrt(variance / trials)
+    return r.a * estimate, r.a * math.sqrt(variance / trials)

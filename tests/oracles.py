@@ -112,6 +112,16 @@ def binomial_tv(m, p, q):
     return 0.5 * math.fsum(abs(a - b) for a, b in zip(count_masses(m, p), count_masses(m, q)))
 
 
+def reduced_sums(r):
+    """(sum_y min(a P'(y), b Q'(y)), spill + sum_y |a P'(y) - b Q'(y)|)
+    for a reduced pair r of the library's exact._Reduced, enumerating the
+    points y of its groups, each rate repeated m times, one by one."""
+    p_masses = r.a * brute_masses(np.repeat(r.p, r.m))
+    q_masses = r.b * brute_masses(np.repeat(r.q, r.m))
+    return (float(np.minimum(p_masses, q_masses).sum()),
+            r.spill + float(np.abs(p_masses - q_masses).sum()))
+
+
 def conditional_laws(panel):
     """(law of votes given label 1, law given label 0) as parameter lists."""
     psi = [float(v) for v in panel.psi]
@@ -258,13 +268,12 @@ def whole_block_estimate_min_mass(P, Q, trials, seed):
     from votebounds.montecarlo import BLOCK_SIZE, _block_generator
     from votebounds.rule import _byte_tables, _packed, _scores
 
-    groups, a, b, _ = _reduce(P.p, Q.p)
-    if not groups or min(a, b) == 0.0:
-        return min(a, b), 0.0
-    p = np.array([g[0] for g in groups for _ in range(g[2])])
-    q = np.array([g[1] for g in groups for _ in range(g[2])])
+    r = _reduce(P, Q)
+    if not r.m.size or min(r.a, r.b) == 0.0:
+        return min(r.a, r.b), 0.0
+    p, q = np.repeat(r.p, r.m), np.repeat(r.q, r.m)
     tables = _byte_tables(np.log(q) - np.log(p), np.log(1.0 - q) - np.log(1.0 - p))
-    offset = math.log(b) - math.log(a)
+    offset = math.log(r.b) - math.log(r.a)
     total = 0.0
     total_sq = 0.0
     for block in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
@@ -276,7 +285,7 @@ def whole_block_estimate_min_mass(P, Q, trials, seed):
         total_sq += float(np.square(ratio).sum())
     estimate = total / trials
     variance = max(0.0, total_sq / trials - estimate * estimate)
-    return a * estimate, a * math.sqrt(variance / trials)
+    return r.a * estimate, r.a * math.sqrt(variance / trials)
 
 
 def column_scores(x, offset, w1, w0):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from votebounds import (
     simulate_error,
 )
 import votebounds
+from votebounds.bounds import SWEEP_KINDS
 from votebounds.cli import main
 
 import oracles
@@ -395,6 +397,9 @@ def test_monte_carlo_commands_echo_the_seed_as_given(distinct_path, capsys, argv
     assert negative.pop("seed") == -1
     assert wrapped.pop("seed") == 2**64 - 1
     assert negative == wrapped
+    # --seed reads every spelling that int() reads
+    assert main(argv + ["--seed", f" +{2**64 - 1:_} "]) == 0
+    assert json.loads(capsys.readouterr().out) == {**wrapped, "seed": 2**64 - 1}
 
 
 class TestExitMatrix:
@@ -439,6 +444,27 @@ class TestExitMatrix:
         err = capsys.readouterr().err
         assert len(err) < 1000
         assert f"argument {option}: " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "PANEL", "--trials", "10", "--seed", "x," * 3000],
+        ["error", "PANEL", "--method", "mc", "--seed", "7" * 6000],
+        ["sweep", "--kind", "x," * 3000],
+        ["validate", "PANEL", "y" * 6000],
+        ["bounds", "PANEL", "--with-exact=" + "x," * 3000],
+    ], ids=["seed", "seed-digits", "kind", "unknown", "explicit-value"])
+    def test_argparse_echoes_are_cut(self, distinct_path, capsys, argv):
+        # argparse's own messages echo an argument; each is cut as ours are
+        assert main([distinct_path if a == "PANEL" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1000
+        assert "..." in err and "Traceback" not in err
+
+    def test_usage_errors_name_every_choice(self, capsys):
+        assert main(["foo"]) == 2
+        words = set(re.findall(r"\w+", capsys.readouterr().err))
+        assert {"validate", "decide", "error", "bounds", "tv", "sweep", "simulate"} <= words
+        assert main(["sweep", "--kind", "x", "--eps", "0.1"]) == 2
+        assert set(SWEEP_KINDS) <= set(re.findall(r"\w+", capsys.readouterr().err))
 
     @pytest.mark.parametrize("argv, remedy, retry", [
         (["error", "PANEL"], "--method mc, without --n-max",

@@ -19,6 +19,7 @@ from votebounds import (
     optimal_error,
     tv_distance,
 )
+from votebounds.exact import _reduce
 
 import oracles
 
@@ -141,6 +142,22 @@ def reducible_pairs(draw):
     return ProductBernoulli(p), ProductBernoulli(q)
 
 
+def mixed_pair(rng, n):
+    """A pair of n coordinates drawn, with repeats, from six kinds: equal
+    interior, equal deterministic, P deterministic, Q deterministic, two
+    interior pairs and, in one pair of four, a seventh with both sides
+    deterministic and different, which makes the supports disjoint when
+    it is drawn."""
+    rate = rng.uniform(0.05, 0.95, 6)
+    end = rng.integers(2, size=3).astype(float)
+    kinds = [(rate[0], rate[0]), (end[0], end[0]), (end[1], rate[1]), (rate[2], end[2]),
+             (rate[3], rate[4]), (rate[5], rate[3])]
+    if rng.uniform() < 0.25:
+        kinds.append((end[0], 1.0 - end[0]))
+    p, q = np.array(kinds)[rng.integers(len(kinds), size=n)].T
+    return ProductBernoulli(p), ProductBernoulli(q)
+
+
 def duplicate_pair(rng, counts):
     """Laws of a panel with len(counts) expert types, counts[t] experts of type t."""
     p, q = rng.uniform(0.55, 0.95, len(counts)), rng.uniform(0.05, 0.45, len(counts))
@@ -162,6 +179,15 @@ class TestPanelReduction:
                 assert got == 0.0
             else:
                 assert_allclose(got, want, rtol=1e-12)
+
+    def test_reduced_record_keeps_both_sums(self, rng):
+        # the reduction alone, apart from the meet-in-the-middle: its
+        # groups and scalars, enumerated directly, give the cube's sums
+        for _ in range(300):
+            P, Q = mixed_pair(rng, int(rng.integers(1, 11)))
+            overlap, absdiff = oracles.reduced_sums(_reduce(P, Q))
+            assert_allclose(overlap, oracles.brute_min_mass(P.p, Q.p), rtol=1e-12)
+            assert_allclose(absdiff, 2.0 * oracles.brute_tv(P.p, Q.p), rtol=1e-12)
 
     @pytest.mark.parametrize("counts", [[24], [8, 9, 7], [4, 3, 5, 4, 2, 6]])
     def test_duplicate_types_match_binomial_oracle(self, rng, counts):
@@ -190,7 +216,7 @@ class TestPanelReduction:
         assert tv_distance(P, Q) == 0.0
 
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_whole_table_sizes_are_exact(self, rng, n):
+    def test_emptied_pairs_are_answered_from_the_scalars(self, rng, n):
         # disjoint supports and equal laws leave no factor at any size,
         # and the kernel answers both from the reduction's scalars
         p, q = rng.uniform(0.1, 0.9, n), rng.uniform(0.1, 0.9, n)
