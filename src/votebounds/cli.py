@@ -284,7 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # echoed as one value, so their number is cut too
+            parser.error(f"unrecognized arguments: {_shown(' '.join(extras), str)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

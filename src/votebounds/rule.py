@@ -22,12 +22,15 @@ then one table entry per byte, byte by byte in index order: one lookup
 per 8 votes, on packed votes that take an eighth of the memory of bools.
 
 `decide_batch` certifies the longest leading run of rows that numpy
-holds as a numeric (k, n) array with one vectorized 0/1 test in two
-passes, `bits = x != 0` and `x == bits`, since 0 and 1 are the only
-numbers equal to their own truth value; a list of int lists is read row
-by row through `bytearray`, not `np.asarray`. Only the rows from the
-first uncertified one on (the first bad row, or the first in a form
-numpy cannot hold, such as a bit string) are checked one by one.
+holds as a numeric (k, n) array with one vectorized 0/1 test. A 1-byte
+run (bool, int8 or uint8) is certified by its largest byte and then read
+as bools without a copy; any other run (a wider integer or a float), or
+one that fails, takes two passes, `bits = x != 0` and `x == bits`, since
+0 and 1 are the only numbers equal to their own truth value, and the
+second finds the first bad row. A list of int lists is read row by row
+through `bytearray`, not `np.asarray`, into a uint8 run. Only the rows
+from the first uncertified one on (the first bad row, or the first in a
+form numpy cannot hold, such as a bit string) are checked one by one.
 """
 
 from __future__ import annotations
@@ -104,9 +107,12 @@ class DecisionRule:
         head = self._leading_run(xs) if seq else _numeric(xs, self.n)
         k = 0
         if head is not None:
-            bits = head != 0
-            ok = head == bits  # only 0 and 1 equal their own truth value
-            k = len(head) if ok.all() else int(ok.all(axis=1).argmin())
+            bits = _certified(head)
+            k = len(head)
+            if bits is None:  # not 1-byte, empty, or a bad row to find
+                bits = head != 0
+                ok = head == bits  # only 0 and 1 equal their own truth value
+                k = k if ok.all() else int(ok.all(axis=1).argmin())
             if k == len(head) and (not seq or k == len(xs)):
                 return bits
             if not (seq or isinstance(xs, np.ndarray)):
@@ -169,7 +175,7 @@ class DecisionRule:
 
     def decide_batch(self, xs) -> list[int]:
         """decide applied elementwise; identical inputs give identical outputs."""
-        return (self._score_rows(self._bit_rows(xs)) >= 0.0).astype(int).tolist()
+        return (self._score_rows(self._bit_rows(xs)) >= 0.0).view(np.int8).tolist()
 
 
 def _numeric(xs, n: int):
@@ -179,6 +185,17 @@ def _numeric(xs, n: int):
     except (TypeError, ValueError, OverflowError):  # ragged rows, say
         return None
     return x if x.ndim == 2 and x.shape[1] == n and x.dtype.kind in "biuf" else None
+
+
+def _certified(head: np.ndarray):
+    """The (m, n) bools of a nonempty 1-byte head (bool, int8 or uint8)
+    whose entries are all 0 or 1, or None. The head is certified by its
+    largest byte alone, as -1 reads 255 and a bool stored as another byte
+    reads that byte, and its bytes are then its bools, with no copy."""
+    if not head.size or head.dtype.kind not in "biu" or head.itemsize != 1:
+        return None
+    byte = head.view(np.uint8)
+    return byte.view(bool) if byte.max() <= 1 else None
 
 
 def _byte_tables(w1: np.ndarray, w0: np.ndarray) -> np.ndarray:
@@ -208,12 +225,17 @@ def _pack(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _packed(x: np.ndarray) -> np.ndarray:
     """The (ceil(n / 8), m) uint8 votes of the rows of (m, n) bool x, as
-    _scores reads them, with the votes past n 0."""
+    _scores reads them, with the votes past n 0.
+
+    The zero-padded copy of x is packed in place, each 8 bools into the
+    word they fill, since it is used once. montecarlo._draw_block packs
+    into a buffer of its own, because it reuses its bool chunk, whose
+    padding must stay 0 for the next chunk."""
     m, n = x.shape
     nb = -(-n // 8)
     bits = np.zeros((m, 8 * nb), dtype=bool)
     bits[:, :n] = x
-    return _pack(bits, np.empty((m, nb), dtype=np.uint64)).T.astype(np.uint8, order="C")
+    return _pack(bits, bits.view("<u8")).T.astype(np.uint8, order="C")
 
 
 def _scores(packed: np.ndarray, offset: float, tables: np.ndarray) -> np.ndarray:

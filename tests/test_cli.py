@@ -450,8 +450,9 @@ class TestExitMatrix:
         ["error", "PANEL", "--method", "mc", "--seed", "7" * 6000],
         ["sweep", "--kind", "x," * 3000],
         ["validate", "PANEL", "y" * 6000],
+        ["validate", "PANEL"] + ["x"] * 3000,
         ["bounds", "PANEL", "--with-exact=" + "x," * 3000],
-    ], ids=["seed", "seed-digits", "kind", "unknown", "explicit-value"])
+    ], ids=["seed", "seed-digits", "kind", "unknown", "unknown-count", "explicit-value"])
     def test_argparse_echoes_are_cut(self, distinct_path, capsys, argv):
         # argparse's own messages echo an argument; each is cut as ours are
         assert main([distinct_path if a == "PANEL" else a for a in argv]) == 2

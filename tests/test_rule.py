@@ -365,6 +365,54 @@ class TestBatchMatchesPerRowCheck:
                 self.check(rule, lambda: np.ones(shape, dtype=dtype))
 
 
+def _read_only(x):
+    x.setflags(write=False)
+    return x
+
+
+def _column_sliced(x):
+    """x as every other column of a wider array whose other columns hold
+    2, a vote no row may hold (True for bools)."""
+    wide = np.full((len(x), 2 * x.shape[1]), 2).astype(x.dtype)
+    wide[:, ::2] = x
+    return wide[:, ::2]
+
+
+# arrays the caller owns, in layouts a 1-byte batch is read through
+# without a copy
+CALLER_LAYOUTS = {
+    "read-only": lambda x: _read_only(x.copy()),
+    "fortran": np.asfortranarray,
+    "column-sliced": _column_sliced,
+}
+
+
+class TestCallerArrays:
+    @pytest.fixture
+    def rule(self, rng):
+        return build_rule(oracles.random_panel(rng, 21))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, bool])
+    @pytest.mark.parametrize("layout", list(CALLER_LAYOUTS))
+    def test_decided_as_row_by_row_and_left_unchanged(self, rng, rule, dtype, layout):
+        x = CALLER_LAYOUTS[layout](rng.integers(0, 2, (300, rule.n)).astype(dtype))
+        owner = x if x.base is None else x.base  # the slice's wider array
+        before, writeable = owner.tobytes(order="A"), x.flags.writeable
+        expected = [rule.decide(bits) for bits in oracles.per_row_bit_rows(rule, x)]
+        got = rule.decide_batch(x)
+        assert got == expected and {type(d) for d in got} == {int}
+        assert x.dtype == dtype and x.flags.writeable == writeable
+        assert owner.tobytes(order="A") == before
+
+    def test_bools_stored_as_other_bytes_read_as_true(self, rng, rule):
+        raw = rng.integers(0, 256, (300, rule.n), dtype=np.uint8)
+        x = _read_only(raw.view(bool))
+        expected = [rule.decide(bits) for bits in oracles.per_row_bit_rows(rule, x)]
+        before = raw.tobytes()
+        assert rule.decide_batch(x) == expected == rule.decide_batch(raw != 0)
+        assert raw.tobytes() == before
+
+
 class TestBatchCheckCount:
     """A 2-D numeric batch is certified in one pass: only its first
     offending row goes through `_check_bits`."""
@@ -391,7 +439,8 @@ class TestBatchCheckCount:
 
     def test_legal_batches_make_no_row_calls(self, calls, rule, x):
         expected = rule.decide_batch(x)
-        for form in (x.tolist(), x.astype(np.float64), x.astype(np.float64).tolist()):
+        for form in (x.tolist(), x.astype(np.float64), x.astype(np.float64).tolist(),
+                     x.astype(np.uint8), x.astype(np.int8), x.astype(bool), x.astype(np.uint16)):
             assert rule.decide_batch(form) == expected
         assert calls[0] == 0
 
