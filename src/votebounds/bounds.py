@@ -18,8 +18,14 @@ and that euclidean-norm exponent is a genuinely symmetric phenomenon:
 the counterexample sweep exhibits an asymmetric panel where the
 analogous expression fails to bound anything.
 
-Quantities of the shape 2^n sqrt(prod ...) are assembled in the log
-domain so they survive any panel size without overflow.
+The bounds and the Hellinger envelopes share one root product,
+2^n sqrt(prod_i x_i y_i), assembled as a log so it survives any panel
+size without overflow. Its complement y is summed from terms that cannot
+cancel: ((1 - psi_i) + (1 - eta_i)) / 2 beside pi_i, never 1 - pi_i,
+which rounds to 0 when pi_i rounds to 1. The envelopes use it at
+x_i = ((1 - q_i) + p_i) / 2, y_i = ((1 - p_i) + q_i) / 2, since
+1 - d_i^2 = 4 x_i y_i with d_i = p_i - q_i. On the folded laws these
+are pi_i and its complement, so hellinger_upper is twice upper.
 """
 
 from __future__ import annotations
@@ -68,9 +74,10 @@ def _require_folded(panel: ExpertPanel) -> None:
         )
 
 
-def _balanced(panel: ExpertPanel) -> np.ndarray:
+def _balanced(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]:
+    """(pi, 1 - pi) of a folded panel, the complement summed without cancellation."""
     _require_folded(panel)
-    return 0.5 * (panel.psi + panel.eta)
+    return 0.5 * (panel.psi + panel.eta), 0.5 * ((1.0 - panel.psi) + (1.0 - panel.eta))
 
 
 def _symmetric_interior(panel: ExpertPanel) -> np.ndarray:
@@ -80,37 +87,42 @@ def _symmetric_interior(panel: ExpertPanel) -> np.ndarray:
     return _vector(panel.psi, "psi", "(0, 1)")
 
 
-def _root_product(x: np.ndarray) -> float:
-    """2^n sqrt(prod_i x_i (1 - x_i)) for interior x, in the log domain."""
-    return math.exp(x.size * _LOG2 + 0.5 * float(np.sum(np.log(x * (1.0 - x)))))
+def _log_root_product(x: np.ndarray, y: np.ndarray) -> float:
+    """log(2^n sqrt(prod_i x_i y_i)), or -inf when some x_i y_i is 0.
+
+    y is the caller's complement of x, summed from terms that cannot
+    cancel.
+    """
+    xy = x * y
+    if not xy.all():
+        return -math.inf
+    return x.size * _LOG2 + 0.5 * float(np.sum(np.log(xy)))
 
 
 def upper_bound(panel: ExpertPanel) -> float:
     """Root-product upper bound from balanced accuracies.
 
-    Zero whenever some balanced accuracy is exactly 0 or 1, since one
+    Zero whenever some expert has psi_i = eta_i = 0 or 1, since one
     such expert pins the label by itself.
     """
-    pi = _balanced(panel)
-    if np.any(pi == 0.0) or np.any(pi == 1.0):
-        return 0.0
-    return 0.5 * _root_product(pi)
+    return 0.5 * math.exp(_log_root_product(*_balanced(panel)))
 
 
 def lower_bound(panel: ExpertPanel) -> float:
     """Product-of-minima lower bound from balanced accuracies.
 
-    Each factor 2 min(pi_i, 1 - pi_i) lies in [0, 1]; a boundary
-    accuracy zeroes the product, matching the zero upper bound there.
+    Each factor 2 min(pi_i, 1 - pi_i) lies in [0, 1]; an expert with
+    psi_i = eta_i = 0 or 1 zeroes the product, matching the zero upper
+    bound there.
     """
-    pi = _balanced(panel)
-    return 0.5 * float(np.prod(2.0 * np.minimum(pi, 1.0 - pi)))
+    pi, comp = _balanced(panel)
+    return 0.5 * float(np.prod(2.0 * np.minimum(pi, comp)))
 
 
 def _symmetric_pieces(panel: ExpertPanel) -> tuple[float, float]:
     """(root-product base, euclidean-norm exponential) of a symmetric panel."""
     p = _symmetric_interior(panel)
-    base = _root_product(p)
+    base = math.exp(_log_root_product(p, 1.0 - p))
     w = np.log(p / (1.0 - p))
     damp = math.exp(-0.5 * math.sqrt(float(np.sum(w * w))))
     return base, damp
@@ -181,17 +193,16 @@ def hellinger_envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float
 
     The upper envelope is attained when p_i + q_i = 1 for every i; the
     lower one reflects that each factor of the affinity is at least
-    1/sqrt(2) times its envelope.
+    1/sqrt(2) times its envelope. 1 - d_i^2 is never formed: it equals
+    4 x_i y_i with x_i = ((1 - q_i) + p_i) / 2 and y_i = ((1 - p_i) + q_i) / 2,
+    so the upper envelope is the bounds' root product at (x, y). On the
+    folded laws of a panel x is pi and y its complement, so the upper
+    envelope is twice upper_bound and adds nothing beyond it.
     """
     _check_pair(P, Q)
-    d = P.p - Q.p
-    factors = 1.0 - d * d
-    if np.any(factors == 0.0):
-        return 0.0, 0.0
-    log_sum = float(np.sum(np.log(factors)))
-    upper = math.exp(0.5 * log_sum)
-    lower = math.exp(0.5 * (log_sum - P.n * _LOG2))
-    return lower, upper
+    p, q = P.p, Q.p
+    log_upper = _log_root_product(0.5 * ((1.0 - q) + p), 0.5 * ((1.0 - p) + q))
+    return math.exp(log_upper - 0.5 * P.n * _LOG2), math.exp(log_upper)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -274,7 +285,7 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
 
     return BoundsReport(
         n=folded.n,
-        pi=_balanced(folded),
+        pi=_balanced(folded)[0],
         upper=upper_bound(folded),
         lower=lower_bound(folded),
         symmetric_lower=sym_lower,

@@ -236,22 +236,24 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
     """
     n_max = _integer(n_max, "n_max")
     r = _reduce(P, Q)
+    sizes = r.m.tolist()
     # a Python int product: an int64 one wraps past 2^63 points
-    size = math.prod((r.m + 1).tolist())
+    size = math.prod(m + 1 for m in sizes)
     # bit_length, not 1 << n_max: n_max is user input and may be huge
     if (size - 1).bit_length() > n_max:
         raise EnumerationLimitError(
             f"n = {P.n} reduces to a table of {size} points, more than 2^{n_max}: "
             f"exceeds the enumeration cap n_max = {n_max}"
         )
-    if not r.m.size:
+    if not sizes:
         return min(r.a, r.b), r.spill + abs(r.a - r.b)
     # one binomial factor per group of m > 1 coordinates, largest first,
     # then the two-state factors of single coordinates in order
     factors = sorted((np.array((_binomial(m, p), _binomial(m, q)))
-                      for p, q, m in zip(r.p.tolist(), r.q.tolist(), r.m.tolist()) if m > 1),
+                      for p, q, m in zip(r.p.tolist(), r.q.tolist(), sizes) if m > 1),
                      key=lambda f: f.shape[1], reverse=True)
-    factors.extend(_bernoulli(r.p[r.m == 1], r.q[r.m == 1]))
+    single = r.m == 1
+    factors.extend(_bernoulli(r.p[single], r.q[single]))
     half_a, half_b = _halves(factors)
     ratio_b, pb, qb = _sorted_by_log_ratio(_mass_table(half_b))
     thresh_a, qa, pa = _sorted_by_log_ratio(_mass_table(half_a, (r.a, r.b))[::-1])

@@ -39,6 +39,19 @@ def sym_candidate(eps):
     return eps * (1.0 - eps) * (eps / (1.0 - eps)) ** (1.0 / math.sqrt(2.0))
 
 
+# a relative slack: the absolute 1e-9 of BoundsReport hides any violation
+# by a bound smaller than 1e-9
+RTOL = 1e-12
+
+# pi = (1 + (1 - 2^-53)) / 2 rounds to 1, while the exact error is 2^-54
+ROUNDED_TO_ONE = ExpertPanel(psi=[1.0], eta=[1.0 - 2.0**-53])
+
+
+def assert_relative_sandwich(lower, value, upper):
+    assert lower <= value * (1.0 + RTOL)
+    assert value <= upper * (1.0 + RTOL)
+
+
 class TestUpperBound:
     def test_uninformative_panel(self):
         assert_allclose(upper_bound(sym_panel([0.5, 0.5, 0.5])), 0.5, atol=1e-12)
@@ -98,6 +111,29 @@ class TestSandwich:
             err = optimal_error(panel)
             assert lower_bound(panel) <= err + 1e-9
             assert err <= upper_bound(panel) + 1e-9
+
+    @pytest.mark.parametrize("panel", [
+        ROUNDED_TO_ONE,
+        pytest.param(
+            ExpertPanel(psi=[1e-12], eta=[1e-12]),
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "FOUND in CHANGES.md: ExpertPanel.law_given_zero stores q = 1 - eta, "
+                "so exact is 9.99989e-13 against the true 1e-12 and the accurate "
+                "lower bound 1e-12 sits above it")),
+        ),
+    ], ids=["pi_rounds_to_one", "tiny_eta"])
+    def test_relative_slack_at_the_float_boundary(self, panel):
+        report = full_report(panel, with_exact=True)
+        assert_relative_sandwich(report.lower, report.exact, report.upper)
+
+    def test_relative_slack_with_rates_near_one(self):
+        # psi, eta = 1 - k 1e-13, where 1 - pi taken from the rounded pi
+        # keeps only a few digits and would put lower above exact
+        k = np.random.default_rng(1).integers(1, 1000, size=(1000, 2))
+        for a, b in k.tolist():
+            panel = ExpertPanel(psi=[1.0 - a * 1e-13], eta=[1.0 - b * 1e-13])
+            report = full_report(panel, with_exact=True)
+            assert_relative_sandwich(report.lower, report.exact, report.upper)
 
 
 class TestSymmetricLowerBound:
@@ -268,6 +304,25 @@ class TestHellingerEnvelopesValues:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             hellinger_envelopes(ProductBernoulli([0.5]), ProductBernoulli([0.5, 0.5]))
+
+    @pytest.mark.parametrize("p, q", [
+        (1e-12, 1.0 - 1e-12), (1e-10, 1.0 - 1e-10), (1e-300, 1.0),
+    ])
+    def test_bracket_the_affinity_near_the_corners(self, p, q):
+        P, Q = ProductBernoulli([p]), ProductBernoulli([q])
+        lower, upper = hellinger_envelopes(P, Q)
+        assert_relative_sandwich(lower, bhattacharyya(P, Q), upper)
+
+    def test_upper_is_twice_upper_bound_on_folded_laws(self, rng):
+        # both are 2^n sqrt(prod pi (1 - pi)), with pi_i = (psi_i + eta_i) / 2
+        panels = [ROUNDED_TO_ONE]
+        for _ in range(200):
+            n = int(rng.integers(1, 11))
+            p_y = 0.5 if rng.random() < 0.5 else float(rng.uniform(0.05, 0.95))
+            panels.append(oracles.random_panel(rng, n, p_y=p_y))
+        for panel in panels:
+            report = full_report(panel)
+            assert_allclose(report.hellinger_upper, 2.0 * report.upper, rtol=1e-12)
 
 
 class TestBoundsReport:
