@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .bounds import SWEEP_KINDS, counterexample_sweep, full_report, hellinger_envelopes
@@ -57,9 +58,10 @@ def _fmt(x: float, sig: int) -> str:
 
 
 def _round(obj, sig: int):
-    """obj with every float rounded to sig significant digits."""
+    """obj with every float rounded to sig significant digits, and every
+    non-finite one as None, so the JSON stays strict."""
     if isinstance(obj, float):
-        return float(_fmt(obj, sig))
+        return float(_fmt(obj, sig)) if math.isfinite(obj) else None
     if isinstance(obj, list):
         return [_round(v, sig) for v in obj]
     if isinstance(obj, dict):

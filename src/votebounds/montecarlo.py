@@ -30,11 +30,11 @@ Each block is scored in one rule._scores call: the offset, then one
 order. simulate_error counts the block's mismatches, and
 estimate_min_mass turns the scores into clipped ratios in place and
 sums them once and, squared in place, once more. Working memory per
-worker is about 26 KiB per expert for simulate_error: the chunk's words
-and per-trial thresholds (8 KiB each), its bool votes and their packed
-words (1 KiB each) and the block's packed votes (8 KiB); with the
-block's scores that is about 2.1 MiB at n = 64 and 26 MiB at n = 1001.
-estimate_min_mass keeps no per-trial thresholds, about 18 KiB per
+worker is about 25 KiB per expert for simulate_error: the chunk's words
+and per-trial thresholds (8 KiB each), its bool votes, packed in place
+(1 KiB), and the block's packed votes (8 KiB); with the block's scores
+that is about 2.1 MiB at n = 64 and 25 MiB at n = 1001.
+estimate_min_mass keeps no per-trial thresholds, about 17 KiB per
 expert.
 """
 
@@ -93,8 +93,11 @@ def _draw_block(seed: int, block: int, m: int, thresholds: np.ndarray):
     calls continue the stream, so the chunks hold exactly the words of
     one whole-block draw. Each chunk's votes land in a zero-padded bool
     buffer, whose rows hold 8 ceil(n / 8) votes from an 8-byte boundary
-    on, and rule._pack packs them 8 to a byte; the bytes are copied
-    transposed into x.
+    on, and rule._pack packs the whole rows in place, 8 to a byte, the
+    label's word too, which is never read; the vote bytes are copied
+    transposed into x. Each packed word is below 256, so its bytes 1 .. 7,
+    which hold all of a row's padding, are written as 0 and the next chunk
+    finds the padding still 0.
     """
     rows = min(_CHUNK_ROWS, m)
     width = thresholds.shape[-1]
@@ -106,7 +109,9 @@ def _draw_block(seed: int, block: int, m: int, thresholds: np.ndarray):
     skip = 8 * lead
     words = _block_generator(seed, block).bit_generator
     chunk = np.zeros((rows, skip + 8 * nb), dtype=bool)
-    packed = np.empty((rows, nb), dtype=np.uint64)
+    # whole rows: numpy packs contiguous words in one flat loop, where the
+    # vote columns alone would take one short loop per row
+    packed = chunk.view("<u8")
     votes = np.empty((nb, m), dtype=np.uint8)
     if lead:
         y = np.empty(m, dtype=bool)
@@ -124,7 +129,7 @@ def _draw_block(seed: int, block: int, m: int, thresholds: np.ndarray):
             np.less(w[:, 0], thresholds[0, 0], out=y[lo:hi])
             thresholds.take(y[lo:hi].view(np.uint8), axis=0, out=threshold[:k], mode="clip")
             np.less(w, threshold[:k], out=chunk[:k, skip - 1:skip + n])
-        votes[:, lo:hi] = _pack(chunk[:k, skip:], packed[:k]).T
+        votes[:, lo:hi] = _pack(packed[:k])[:, lead:].T
         del w  # free the words before the next chunk's are drawn
     return y, votes
 
@@ -188,7 +193,9 @@ def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
 
     Each trial draws a label from the prior, draws every expert's vote
     from its conditional accuracy, applies the rule built from the panel
-    and records whether the decision missed the label.
+    and records whether the decision missed the label. build_rule is the
+    Bayes rule at p_y on every legal panel, boundary rates included, so
+    this estimates the risk at the panel's own prior, not the folded one.
     """
     trials, seed, workers = _check_run(trials, seed, workers)
     rule = build_rule(panel)

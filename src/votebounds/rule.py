@@ -8,10 +8,14 @@ that vote under the two labels and adds the prior log odds:
                      + (1 - x_i) * log((1 - psi_i) / eta_i) ]
 
 and decides 1 exactly when the score is >= 0, so an exact tie goes to 1.
-Boundary parameters would put infinities into the weights; instead they
-are clamped into [DEFAULT_CLAMP_EPSILON, 1 - DEFAULT_CLAMP_EPSILON]
-before the logs are taken, so the weights are large but finite.
-Parameters inside that interval are never touched.
+Nothing is clamped. A vote impossible under exactly one label (a psi or
+eta of 0 or 1) weighs +inf or -inf, so it decides by itself, as
+exact._reduce peels such experts off exactly; a vote impossible under
+both labels weighs 0. A vector with one vote impossible under label 1
+and another impossible under label 0 scores NaN, and NaN >= 0 is false,
+so it decides 0; it has probability 0 under both labels, so no draw ever
+holds it. Every other weight is the log ratio log(a / b) written above,
+for a = P(vote | label 1) and b = P(vote | label 0).
 
 One kernel, `_scores`, sums this for `score`, `decide_batch` and both
 Monte Carlo estimators, so no caller can drift from the others on a tie.
@@ -42,9 +46,7 @@ import numpy as np
 
 from .core import ExpertPanel, ValidationError, _check_panel, _scalar, _shown, _vector
 
-__all__ = ["DecisionRule", "build_rule", "DEFAULT_CLAMP_EPSILON"]
-
-DEFAULT_CLAMP_EPSILON = 1e-12
+__all__ = ["DecisionRule", "build_rule"]
 
 # row types a batch's numeric leading run may hold
 _ROW_TYPES = {list, tuple, np.ndarray}
@@ -66,8 +68,8 @@ class DecisionRule:
     _tables: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        w1 = _vector(self.vote_one_weights, "vote_one_weights", "(-inf, inf)")
-        w0 = _vector(self.vote_zero_weights, "vote_zero_weights", "(-inf, inf)")
+        w1 = _vector(self.vote_one_weights, "vote_one_weights", "[-inf, inf]")
+        w0 = _vector(self.vote_zero_weights, "vote_zero_weights", "[-inf, inf]")
         if w1.size != w0.size:
             raise ValidationError(f"weight vectors have lengths {w1.size} and {w0.size}")
         object.__setattr__(self, "vote_one_weights", w1)
@@ -208,19 +210,23 @@ def _byte_tables(w1: np.ndarray, w0: np.ndarray) -> np.ndarray:
     weights[0, :w0.size, 0] = w0
     weights[1, :w1.size, 0] = w1
     tables = np.zeros((nb, 1))
-    # step i appends bit i: entries v + 2^i add w1, entries v add w0
-    for i in range(8):
-        tables = np.concatenate([tables + weights[0, i::8], tables + weights[1, i::8]], axis=1)
+    # step i appends bit i: entries v + 2^i add w1, entries v add w0;
+    # a +inf and a -inf vote in one byte add to NaN
+    with np.errstate(invalid="ignore"):
+        for i in range(8):
+            tables = np.concatenate([tables + weights[0, i::8], tables + weights[1, i::8]], axis=1)
     return tables
 
 
-def _pack(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.packbits(bits, axis=1, bitorder="little") of an (m, 8k) bool
-    array with contiguous rows, written as uint64 into the (m, k) out and
-    returned: bit i of byte j is vote 8j + i. One multiply and one shift
-    per 8 votes, where packbits walks the votes one by one."""
-    np.multiply(bits.view("<u8"), _GATHER, out=out)
-    return np.right_shift(out, np.uint64(56), out=out)
+def _pack(words: np.ndarray) -> np.ndarray:
+    """Pack in place words, the (m, k) little-endian uint64 view of an
+    (m, 8k) bool array bits, and return it: word j of a row becomes byte j
+    of np.packbits(bits, axis=1, bitorder="little"), so bit i of it is
+    vote 8j + i. Each word ends below 256, so its bytes 1 .. 7 are written
+    as 0. One multiply and one shift per 8 votes, where packbits walks the
+    votes one by one."""
+    np.multiply(words, _GATHER, out=words)
+    return np.right_shift(words, np.uint64(56), out=words)
 
 
 def _packed(x: np.ndarray) -> np.ndarray:
@@ -228,14 +234,12 @@ def _packed(x: np.ndarray) -> np.ndarray:
     _scores reads them, with the votes past n 0.
 
     The zero-padded copy of x is packed in place, each 8 bools into the
-    word they fill, since it is used once. montecarlo._draw_block packs
-    into a buffer of its own, because it reuses its bool chunk, whose
-    padding must stay 0 for the next chunk."""
+    word they fill."""
     m, n = x.shape
     nb = -(-n // 8)
     bits = np.zeros((m, 8 * nb), dtype=bool)
     bits[:, :n] = x
-    return _pack(bits, bits.view("<u8")).T.astype(np.uint8, order="C")
+    return _pack(bits.view("<u8")).T.astype(np.uint8, order="C")
 
 
 def _scores(packed: np.ndarray, offset: float, tables: np.ndarray) -> np.ndarray:
@@ -244,19 +248,23 @@ def _scores(packed: np.ndarray, offset: float, tables: np.ndarray) -> np.ndarray
     matmul or a reduction sums in another order); tables from _byte_tables."""
     s = np.full(packed.shape[1], offset)
     term = np.empty(packed.shape[1])
-    for table, col in zip(tables, packed):
-        table.take(col, out=term, mode="clip")  # a byte needs no bounds check
-        s += term
+    with np.errstate(invalid="ignore"):  # +inf and -inf add to NaN
+        for table, col in zip(tables, packed):
+            table.take(col, out=term, mode="clip")  # a byte needs no bounds check
+            s += term
     return s
 
 
 def build_rule(panel: ExpertPanel) -> DecisionRule:
-    """Compile a panel into its optimal decision rule."""
-    lo, hi = DEFAULT_CLAMP_EPSILON, 1.0 - DEFAULT_CLAMP_EPSILON
-    psi = np.clip(_check_panel(panel).psi, lo, hi)
-    eta = np.clip(panel.eta, lo, hi)
+    """Compile a panel into its optimal (Bayes) decision rule: each weight
+    is log(a / b), for a = P(vote | label 1) and b = P(vote | label 0),
+    which is +inf or -inf when just one of a and b is 0, and 0 when a == b."""
+    psi, eta = _check_panel(panel).psi, panel.eta
+    a, b = np.array([psi, 1.0 - psi]), np.array([1.0 - eta, eta])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w1, w0 = np.where(a == b, 0.0, np.log(a / b))
     return DecisionRule(
         offset=math.log(panel.p_y / (1.0 - panel.p_y)),
-        vote_one_weights=np.log(psi / (1.0 - eta)),
-        vote_zero_weights=np.log((1.0 - psi) / eta),
+        vote_one_weights=w1,
+        vote_zero_weights=w0,
     )

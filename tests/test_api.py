@@ -10,7 +10,6 @@ PUBLIC = [
     "AffinityResult",
     "BLOCK_SIZE",
     "BoundsReport",
-    "DEFAULT_CLAMP_EPSILON",
     "DEFAULT_N_MAX",
     "DecisionRule",
     "EnumerationLimitError",

@@ -120,6 +120,21 @@ class TestDecide:
     def test_non_bit_string_is_usage_error(self, three_expert_path, capsys):
         assert main(["decide", three_expert_path, "--x", "102"]) == 2
 
+    def test_vetoed_vector_decides_zero_with_null_score(self, tmp_path, capsys):
+        # expert 1 always votes 1 under label 1, and it voted 0; the score
+        # is -inf, which strict JSON has no number for
+        path = write_panel(tmp_path, psi=[1.0, 0.999999, 0.999999],
+                           eta=[0.5, 0.999999, 0.999999])
+        assert main(["decide", path, "--x", "011", "--format", "json"]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert payload == {"decision": 0, "score": None}
+        assert main(["decide", path, "--x", "011"]) == 0
+        assert capsys.readouterr().out.strip() == "0"
+
 
 class TestError:
     def test_prints_exact_value(self, counterexample_path, capsys):

@@ -20,6 +20,7 @@ from votebounds import (
     simulate_error,
 )
 from votebounds import montecarlo
+from votebounds.rule import _pack
 
 import oracles
 
@@ -355,7 +356,7 @@ class TestChunkedBlocks:
         # a whole block of bool votes alone takes 64 KiB per expert, and
         # holding one peaked at 81-90 KiB per expert on these inputs; a
         # whole block of packed votes peaks at 33.3 (simulate_error) and
-        # 32.5 (estimate_min_mass) at n = 64, 26.5 and 18.6 at n = 1001.
+        # 32.5 (estimate_min_mass) at n = 64, 25.4 and 17.5 at n = 1001.
         # numpy reports its buffers to tracemalloc
         trials = BLOCK_SIZE + 1
         for n in (64, 1001):
@@ -372,6 +373,28 @@ class TestChunkedBlocks:
             finally:
                 tracemalloc.stop()
             assert peak < n * (48 << 10), (n, peak)
+
+
+class TestInPlacePacking:
+    # _draw_block packs each chunk of bools into its own words, a label
+    # word first when there is one, and reuses the chunk: the packed
+    # bytes must be packbits' bytes, and the padding past n must read 0
+    # again for the next chunk
+    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 64, 65])
+    def test_packs_like_packbits_and_leaves_padding_zero(self, rng, n, lead):
+        nb = -(-n // 8)
+        skip = 8 * lead
+        chunk = np.zeros((37, skip + 8 * nb), dtype=bool)
+        # a previous chunk's packed bytes, nonzero, in the vote columns
+        chunk.view(np.uint8)[:, :skip + n] = rng.integers(1, 256, (37, skip + n))
+        for k in (37, 20):
+            bits = rng.integers(0, 2, (k, skip + n)).astype(bool)
+            chunk[:k, :skip + n] = bits
+            packed = _pack(chunk.view("<u8")[:k])[:, lead:]
+            ref = np.packbits(bits[:, skip:], axis=1, bitorder="little")
+            assert np.array_equal(packed, ref)
+            assert not chunk[:, skip + n:].view(np.uint8).any()
 
 
 # rates at the rounding edges of (w >> 11) * 2^-53 < p: 0, the smallest

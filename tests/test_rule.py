@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,10 +32,22 @@ class TestBuildRule:
         rule = build_rule(ExpertPanel(psi=[0.9], eta=[0.8], p_y=0.7))
         assert_allclose(rule.offset, math.log(0.7 / 0.3), rtol=1e-15)
 
-    def test_boundary_rates_produce_finite_weights(self):
-        rule = build_rule(ExpertPanel(psi=[1.0, 0.0], eta=[0.9, 0.1]))
-        assert np.all(np.isfinite(rule.vote_one_weights))
-        assert np.all(np.isfinite(rule.vote_zero_weights))
+    def test_boundary_rates_produce_veto_weights(self):
+        # a vote impossible under one label weighs +-inf, one impossible
+        # under both weighs 0, and equal likelihoods weigh exactly 0
+        rule = build_rule(ExpertPanel(psi=[1.0, 0.0, 1.0, 0.0, 0.25],
+                                      eta=[0.9, 0.1, 0.0, 1.0, 0.75]))
+        w10 = math.log(1.0 / 0.1)
+        assert rule.vote_one_weights.tolist() == [w10, -math.inf, 0.0, 0.0, 0.0]
+        assert rule.vote_zero_weights.tolist() == [-math.inf, w10, 0.0, 0.0, 0.0]
+
+    def test_interior_weights_are_the_plain_log_ratios(self, rng):
+        # nothing clamps rates within 1e-12 of 0 or 1 any more
+        psi = np.r_[rng.uniform(0.01, 0.99, 50), 1e-13, 1.0 - 2.0**-53, 0.5]
+        eta = np.r_[rng.uniform(0.01, 0.99, 50), 0.5, 1e-300, 1.0 - 1e-13]
+        rule = build_rule(ExpertPanel(psi=psi, eta=eta))
+        assert np.array_equal(rule.vote_one_weights, np.log(psi / (1.0 - eta)))
+        assert np.array_equal(rule.vote_zero_weights, np.log((1.0 - psi) / eta))
 
     def test_rule_arrays_are_read_only(self):
         rule = build_rule(interior_panel())
@@ -58,6 +71,18 @@ class TestDecisionRuleValidation:
                 vote_one_weights=[1.0],
                 vote_zero_weights=[1.0],
             )
+
+    def test_infinite_weights_accepted(self):
+        rule = DecisionRule(0.0, [math.inf, 1.0], [-math.inf, -1.0])
+        assert rule.decide([1, 0]) == 1
+        assert rule.decide([0, 1]) == 0
+
+    @pytest.mark.parametrize("field", ["vote_one_weights", "vote_zero_weights"])
+    def test_nan_weight_rejected(self, field):
+        weights = {"vote_one_weights": [1.0, 1.0], "vote_zero_weights": [-1.0, -1.0]}
+        weights[field] = [1.0, math.nan]
+        with pytest.raises(ValidationError, match=rf"{field}\[1\] = nan"):
+            DecisionRule(0.0, **weights)
 
 
 class TestScore:
@@ -539,9 +564,9 @@ class TestOptimality:
             assert built <= best + 1e-12
             checked += 1
 
-    def test_clamped_boundary_rule_is_optimal(self, rng):
-        # psi and eta at exactly 0 or 1 go through the clamp; ties or not,
-        # no rule may beat the clamped one
+    def test_boundary_rule_is_optimal(self, rng):
+        # psi and eta at exactly 0 or 1 give +-inf and 0 weights; ties or
+        # not, no rule may beat the built one
         for _ in range(300):
             n = int(rng.integers(1, 4))
             p_y = float(rng.choice([0.5, 0.5, 0.2, 0.7]))
@@ -553,3 +578,60 @@ class TestOptimality:
             panel = ExpertPanel(psi=psi, eta=eta, p_y=p_y)
             built = oracles.rule_risk(panel, build_rule(panel).decide)
             assert built <= oracles.best_rule_risk(panel) + 1e-12
+
+
+def veto_repro_panel():
+    # expert 1 always votes 1 under label 1, so a 0 vote from it proves
+    # label 0, however strongly the other two vote 1
+    return ExpertPanel(psi=[1.0, 0.999999, 0.999999], eta=[0.5, 0.999999, 0.999999])
+
+
+def one_deterministic_panel(rng, n):
+    """n - 1 strong experts (rates within 1e-6 of 1) and, at a random
+    place, one whose psi, eta or both lie at 0 or 1."""
+    psi = 1.0 - rng.uniform(0.0, 1e-6, n)
+    eta = 1.0 - rng.uniform(0.0, 1e-6, n)
+    k = int(rng.integers(n))
+    psi[k], eta[k] = rng.uniform(0.05, 0.95, 2)
+    rates = (psi, eta)
+    for i in rng.permutation(2)[:int(rng.integers(1, 3))]:
+        rates[i][k] = rng.integers(0, 2)
+    return ExpertPanel(psi=psi, eta=eta, p_y=float(rng.choice([0.5, 0.01, 0.99])))
+
+
+class TestVeto:
+    def test_repro_decides_zero(self):
+        rule = build_rule(veto_repro_panel())
+        assert rule.score([0, 1, 1]) == -math.inf
+        assert rule.decide([0, 1, 1]) == 0
+        assert rule.decide("011") == 0
+        for xs in ([[0, 1, 1], [1, 1, 1]], np.array([[0, 1, 1], [1, 1, 1]], dtype=bool)):
+            assert rule.decide_batch(xs) == [0, 1]
+
+    def test_impossible_vote_decides_the_other_label(self, rng):
+        # every vector with P(x | y) = 0 < P(x | 1 - y) decides 1 - y, on
+        # panels whose strong experts would outvote a finite weight of
+        # about 27; a vector impossible under both labels may go either way
+        for _ in range(12):
+            n = int(rng.integers(11, 17))
+            panel = one_deterministic_panel(rng, n)
+            given_one = oracles.brute_masses(panel.psi)
+            given_zero = oracles.brute_masses(1.0 - panel.eta)
+            decided = np.array(build_rule(panel).decide_batch(np.array(oracles.outcomes(n))))
+            assert np.all(decided[(given_one == 0.0) & (given_zero > 0.0)] == 0)
+            assert np.all(decided[(given_zero == 0.0) & (given_one > 0.0)] == 1)
+            assert np.any((given_one == 0.0) | (given_zero == 0.0))
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_opposite_vetoes_score_nan_without_warning(self, n):
+        # expert 0 never votes 0 under label 1 and expert n - 1 never
+        # votes 1 under label 0: in one byte at n = 2, in two at n = 10
+        psi, eta = [1.0] + [0.7] * (n - 1), [0.7] * (n - 1) + [1.0]
+        x = [0] * (n - 1) + [1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rule = build_rule(ExpertPanel(psi=psi, eta=eta))
+            assert math.isnan(rule.score(x))
+            assert rule.decide(x) == 0
+            assert rule.decide_batch([x, [1] * n]) == [0, 1]
+            assert rule.decide_batch(np.array([x, [1] * n], dtype=bool)) == [0, 1]
