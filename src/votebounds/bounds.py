@@ -19,13 +19,17 @@ the counterexample sweep exhibits an asymmetric panel where the
 analogous expression fails to bound anything.
 
 The bounds and the Hellinger envelopes share one root product,
-2^n sqrt(prod_i x_i y_i), assembled as a log so it survives any panel
-size without overflow. Its complement y is summed from terms that cannot
-cancel: ((1 - psi_i) + (1 - eta_i)) / 2 beside pi_i, never 1 - pi_i,
-which rounds to 0 when pi_i rounds to 1. The envelopes use it at
-x_i = ((1 - q_i) + p_i) / 2, y_i = ((1 - p_i) + q_i) / 2, since
+R = 2^n sqrt(prod_i x_i y_i), assembled as a log so it survives any
+panel size without overflow. Its complement y is summed from terms that
+cannot cancel: ((1 - psi_i) + (1 - eta_i)) / 2 beside pi_i, never
+1 - pi_i, which rounds to 0 when pi_i rounds to 1. The envelopes use it
+at x_i = ((1 - q_i) + p_i) / 2, y_i = ((1 - p_i) + q_i) / 2, since
 1 - d_i^2 = 4 x_i y_i with d_i = p_i - q_i. On the folded laws these
-are pi_i and its complement, so hellinger_upper is twice upper.
+are pi_i and its complement, and on a symmetric panel they are p_i and
+1 - p_i exactly. So full_report takes upper, both envelopes and the
+Manino pair from one root product of pi and its complement, in one pass
+over the folded panel: hellinger_upper = 2 upper and manino_upper =
+upper exactly.
 """
 
 from __future__ import annotations
@@ -99,13 +103,37 @@ def _log_root_product(x: np.ndarray, y: np.ndarray) -> float:
     return x.size * _LOG2 + 0.5 * float(np.sum(np.log(xy)))
 
 
+def _root_bounds(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """(R / 2, R / 2^(n/2), R) for the root product R = 2^n sqrt(prod_i x_i y_i).
+
+    At x = pi and y its complement these are upper_bound and the two
+    Hellinger envelopes of the folded laws.
+    """
+    log_root = _log_root_product(x, y)
+    root = math.exp(log_root)
+    return 0.5 * root, math.exp(log_root - 0.5 * x.size * _LOG2), root
+
+
+def _lower(pi: np.ndarray, comp: np.ndarray) -> float:
+    return 0.5 * float(np.prod(2.0 * np.minimum(pi, comp)))
+
+
+def _symmetric_pieces(panel: ExpertPanel, root: float) -> tuple[float, float]:
+    """(symmetric lower bound, Manino lower bound) of a symmetric interior
+    panel whose root product is root."""
+    p = _symmetric_interior(panel)
+    w = np.log(p / (1.0 - p))
+    damp = math.exp(-0.5 * math.sqrt(float(np.sum(w * w))))
+    return 0.5 * root * damp, 0.36 * root * damp
+
+
 def upper_bound(panel: ExpertPanel) -> float:
     """Root-product upper bound from balanced accuracies.
 
     Zero whenever some expert has psi_i = eta_i = 0 or 1, since one
     such expert pins the label by itself.
     """
-    return 0.5 * math.exp(_log_root_product(*_balanced(panel)))
+    return _root_bounds(*_balanced(panel))[0]
 
 
 def lower_bound(panel: ExpertPanel) -> float:
@@ -115,17 +143,7 @@ def lower_bound(panel: ExpertPanel) -> float:
     psi_i = eta_i = 0 or 1 zeroes the product, matching the zero upper
     bound there.
     """
-    pi, comp = _balanced(panel)
-    return 0.5 * float(np.prod(2.0 * np.minimum(pi, comp)))
-
-
-def _symmetric_pieces(panel: ExpertPanel) -> tuple[float, float]:
-    """(root-product base, euclidean-norm exponential) of a symmetric panel."""
-    p = _symmetric_interior(panel)
-    base = math.exp(_log_root_product(p, 1.0 - p))
-    w = np.log(p / (1.0 - p))
-    damp = math.exp(-0.5 * math.sqrt(float(np.sum(w * w))))
-    return base, damp
+    return _lower(*_balanced(panel))
 
 
 def symmetric_lower_bound(panel: ExpertPanel) -> float:
@@ -135,8 +153,7 @@ def symmetric_lower_bound(panel: ExpertPanel) -> float:
     norm of the log odds in the exponent, which can only help. Rejects
     asymmetric panels and boundary accuracies, no silent clamping.
     """
-    base, damp = _symmetric_pieces(panel)
-    return 0.5 * base * damp
+    return _symmetric_pieces(panel, _root_bounds(*_balanced(panel))[2])[0]
 
 
 def committee_potential(p) -> float:
@@ -179,9 +196,10 @@ def manino_bounds(panel: ExpertPanel) -> tuple[float, float]:
         upper = 0.50 * 2^n sqrt(prod p (1-p))
 
     Kept as the comparison target that the 1/2 constant improves on.
+    The upper end is upper_bound itself, since pi = p on such a panel.
     """
-    base, damp = _symmetric_pieces(panel)
-    return 0.36 * base * damp, 0.5 * base
+    upper, _, root = _root_bounds(*_balanced(panel))
+    return _symmetric_pieces(panel, root)[1], upper
 
 
 def hellinger_envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float, float]:
@@ -197,12 +215,13 @@ def hellinger_envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float
     4 x_i y_i with x_i = ((1 - q_i) + p_i) / 2 and y_i = ((1 - p_i) + q_i) / 2,
     so the upper envelope is the bounds' root product at (x, y). On the
     folded laws of a panel x is pi and y its complement, so the upper
-    envelope is twice upper_bound and adds nothing beyond it.
+    envelope is twice upper_bound and adds nothing beyond it; full_report
+    takes both envelopes from the root product of pi and its complement,
+    where this function would read pi back from the rounded 1 - (1 - eta).
     """
     _check_pair(P, Q)
     p, q = P.p, Q.p
-    log_upper = _log_root_product(0.5 * ((1.0 - q) + p), 0.5 * ((1.0 - p) + q))
-    return math.exp(log_upper - 0.5 * P.n * _LOG2), math.exp(log_upper)
+    return _root_bounds(0.5 * ((1.0 - q) + p), 0.5 * ((1.0 - p) + q))[1:]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -215,8 +234,10 @@ class BoundsReport:
     sit inside [lower, upper] up to 1e-9. hellinger_lower and
     hellinger_upper bracket the Bhattacharyya affinity of the folded laws,
     not the error, so they can exceed exact: one uninformative expert
-    gives hellinger_lower = 1/sqrt(2) beside exact = 0.5. Fields are
-    declared in to_dict's output order.
+    gives hellinger_lower = 1/sqrt(2) beside exact = 0.5. upper, both
+    envelopes and the Manino pair come from one root product of pi and
+    its complement, so hellinger_upper = 2 upper and manino_upper = upper
+    exactly. Fields are declared in to_dict's output order.
     """
 
     n: int
@@ -266,28 +287,20 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
     to stay within 2^n_max points.
     """
     folded = fold_bias(panel)
-    interior = bool(np.all((folded.psi > 0.0) & (folded.psi < 1.0)))
-    symmetric = folded.symmetric and interior
-
-    if symmetric:
-        sym_lower = symmetric_lower_bound(folded)
+    pi, comp = _balanced(folded)
+    upper, hell_lower, hell_upper = _root_bounds(pi, comp)
+    sym_lower = pot_lower = pot_upper = man_lower = man_upper = None
+    if folded.symmetric and np.all((pi > 0.0) & (pi < 1.0)):
+        sym_lower, man_lower = _symmetric_pieces(folded, hell_upper)
         pot_lower, pot_upper = committee_potential_bounds(folded)
-        man_lower, man_upper = manino_bounds(folded)
-    else:
-        sym_lower = pot_lower = pot_upper = man_lower = man_upper = None
-
-    hell_lower, hell_upper = hellinger_envelopes(
-        folded.law_given_one(), folded.law_given_zero()
-    )
-    exact = None
-    if with_exact:
-        exact = optimal_error(folded, n_max=n_max)
+        man_upper = upper
+    exact = optimal_error(folded, n_max=n_max) if with_exact else None
 
     return BoundsReport(
         n=folded.n,
-        pi=_balanced(folded)[0],
-        upper=upper_bound(folded),
-        lower=lower_bound(folded),
+        pi=pi,
+        upper=upper,
+        lower=_lower(pi, comp),
         symmetric_lower=sym_lower,
         potential_lower=pot_lower,
         potential_upper=pot_upper,

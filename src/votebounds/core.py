@@ -69,11 +69,17 @@ def _inside(x, interval: str):
 def _vector(values, name: str, interval: str = "[0, 1]") -> np.ndarray:
     """Coerce to a read-only, nonempty 1-D float64 array with entries in
     interval, written as for _inside; by default probabilities. Numbers
-    written as strings are refused."""
+    written as strings are refused, and so are bools, which numpy would
+    read as 1.0 and 0.0."""
     try:
         raw = np.asarray(values)
         if raw.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in raw.flat):
             raise TypeError("numbers written as strings are refused")
+        # numpy reads a bool among numbers as a number, so a list is scanned as given
+        items = (values if isinstance(values, (list, tuple))
+                 else raw.flat if raw.dtype.kind == "O" else ())
+        if raw.dtype.kind == "b" or not {bool, np.bool_}.isdisjoint(map(type, items)):
+            raise TypeError("bools are refused")
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} is not a numeric sequence: {exc}") from None
@@ -91,9 +97,9 @@ def _vector(values, name: str, interval: str = "[0, 1]") -> np.ndarray:
 
 def _scalar(value, name: str, interval: str = "(-inf, inf)") -> float:
     """Coerce to a float in interval, written as for _inside. A number
-    written as a string is refused."""
+    written as a string is refused, and so is a bool."""
     try:
-        if isinstance(value, (str, bytes)):
+        if isinstance(value, (str, bytes, bool, np.bool_)):
             raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError):

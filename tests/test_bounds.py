@@ -314,15 +314,18 @@ class TestHellingerEnvelopesValues:
         assert_relative_sandwich(lower, bhattacharyya(P, Q), upper)
 
     def test_upper_is_twice_upper_bound_on_folded_laws(self, rng):
-        # both are 2^n sqrt(prod pi (1 - pi)), with pi_i = (psi_i + eta_i) / 2
+        # both are 2^n sqrt(prod pi (1 - pi)), with pi_i = (psi_i + eta_i) / 2,
+        # and on a symmetric interior panel so is twice manino_upper
         panels = [ROUNDED_TO_ONE]
-        for _ in range(200):
+        for i in range(200):
             n = int(rng.integers(1, 11))
             p_y = 0.5 if rng.random() < 0.5 else float(rng.uniform(0.05, 0.95))
-            panels.append(oracles.random_panel(rng, n, p_y=p_y))
+            panels.append(oracles.random_panel(rng, n, p_y=p_y, symmetric=i % 2 == 0))
         for panel in panels:
             report = full_report(panel)
-            assert_allclose(report.hellinger_upper, 2.0 * report.upper, rtol=1e-12)
+            assert report.hellinger_upper == 2.0 * report.upper
+            if report.manino_upper is not None:
+                assert report.manino_upper == report.upper
 
 
 class TestBoundsReport:
@@ -364,6 +367,29 @@ class TestBoundsReport:
             report = full_report(panel, with_exact=True)
             assert report.lower <= report.exact + 1e-9
             assert report.exact <= report.upper + 1e-9
+
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "biased", "boundary"])
+    def test_fields_match_the_public_bounds_bit_for_bit(self, rng, kind):
+        for _ in range(50):
+            n = int(rng.integers(1, 11))
+            p_y = float(rng.uniform(0.05, 0.95)) if kind == "biased" else 0.5
+            panel = oracles.random_panel(rng, n, p_y=p_y, symmetric=kind != "asymmetric")
+            if kind == "boundary":
+                psi = panel.psi.copy()
+                psi[rng.integers(n)] = float(rng.integers(2))
+                panel = ExpertPanel(psi=psi, eta=psi if rng.random() < 0.5 else panel.eta)
+            folded = fold_bias(panel)
+            report = full_report(panel)
+            expected = {"upper": upper_bound(folded), "lower": lower_bound(folded)}
+            if report.symmetric_lower is not None:
+                expected["symmetric_lower"] = symmetric_lower_bound(folded)
+                expected["potential_lower"], expected["potential_upper"] = (
+                    committee_potential_bounds(folded))
+                expected["manino_lower"], expected["manino_upper"] = manino_bounds(folded)
+            else:
+                assert kind in ("asymmetric", "boundary")
+            for field, value in expected.items():
+                assert getattr(report, field).hex() == value.hex(), field
 
     def test_biased_panel_reports_folded_size(self):
         report = full_report(ExpertPanel(psi=[0.9], eta=[0.8], p_y=0.7), with_exact=True)

@@ -3,10 +3,11 @@
 Each row is a call that once escaped as a raw TypeError, ValueError or
 OverflowError, was accepted, or echoed its whole argument: a float or
 bool worker count, a bool panel path that open() takes for a file
-descriptor, a number written as a string, an integer too large for a
-float, or a list of 5000 entries. Each row of MALFORMED_PANEL_FILES is a
-panel file that once escaped as a RecursionError, was read with its last
-repeated key winning, or was echoed in full. Every message is at most
+descriptor, a number written as a string, a bool read as the number 1.0
+or 0.0, an integer too large for a float, or a list of 5000 entries.
+Each row of MALFORMED_PANEL_FILES is a panel file that once escaped as a
+RecursionError, was read with its last repeated key winning, was read
+with a bool as a number, or was echoed in full. Every message is at most
 ECHO_MAX characters, not counting the panel file's path.
 """
 
@@ -70,6 +71,13 @@ MALFORMED = {
     "panel-string-p_y": lambda: validate_panel({"psi": [0.9], "eta": [0.8], "p_y": "0.3"}),
     "ProductBernoulli-string-array": lambda: ProductBernoulli(np.array(["0.5"])),
     "ProductBernoulli-bytes": lambda: ProductBernoulli([b"0.5"]),
+    # bools, which numpy reads as 1.0 and 0.0
+    "panel-bool-among-numbers": lambda: validate_panel({"psi": [True, 0.6], "eta": [0.8, 0.7]}),
+    "ProductBernoulli-bool-in-tuple": lambda: ProductBernoulli((0.5, True)),
+    "ProductBernoulli-bool-array": lambda: ProductBernoulli(np.array([True, False])),
+    "panel-bool-p_y": lambda: ExpertPanel(psi=[0.9], eta=[0.8], p_y=True),
+    "rule-bool-offset": lambda: DecisionRule(
+        offset=True, vote_one_weights=[1.0], vote_zero_weights=[-1.0]),
     # integers too large for a float
     "panel-huge-int-psi": lambda: validate_panel({"psi": [0.9, 10**400], "eta": [0.8, 0.7]}),
     "panel-huge-int-eta": lambda: ExpertPanel(psi=[0.9], eta=[10**400]),
@@ -98,6 +106,21 @@ def test_abbreviated_message_names_the_field(key, field):
         MALFORMED[key]()
 
 
+BOOL_MESSAGES = {
+    "panel-bool-among-numbers": "^psi is not a numeric sequence: bools are refused",
+    "ProductBernoulli-bool-in-tuple": "^p is not a numeric sequence: bools are refused",
+    "ProductBernoulli-bool-array": "^p is not a numeric sequence: bools are refused",
+    "panel-bool-p_y": "^p_y must be a real number, got True$",
+    "rule-bool-offset": "^offset must be a real number, got True$",
+}
+
+
+@pytest.mark.parametrize("key", BOOL_MESSAGES)
+def test_bool_is_not_read_as_a_number(key):
+    with pytest.raises(ValidationError, match=BOOL_MESSAGES[key]):
+        MALFORMED[key]()
+
+
 MALFORMED_PANEL_FILES = {
     "nested-arrays": ("[" * 100000, "nests too deeply"),
     "nested-objects": ('{"psi": ' * 100000, "nests too deeply"),
@@ -108,6 +131,8 @@ MALFORMED_PANEL_FILES = {
                    r"^p_y must be a real number, got \[\[\["),
     "long-p_y": ('{"psi": [0.9], "eta": [0.8], "p_y": [' + ", ".join(["0.5"] * 5000) + "]}",
                  r"^p_y must be a real number, got \[0.5, "),
+    "bool-among-numbers": ('{"psi": [true, 0.6], "eta": [0.8, 0.7]}',
+                           "^psi is not a numeric sequence: bools are refused"),
     "long-unknown-key": ('{"psi": [0.9], "eta": [0.8], "' + "x" * 5000 + '": 1}',
                          "^unknown panel keys: xxx"),
 }
