@@ -66,19 +66,29 @@ def _inside(x, interval: str):
     return above & below
 
 
+def _is_bool(value) -> bool:
+    """Whether value is a bool or has a bool dtype: a numpy bool, or a
+    bool array, 0-d ones included, which float() and numpy read as 1.0
+    and 0.0."""
+    return isinstance(value, bool) or getattr(value, "dtype", None) == np.bool_
+
+
 def _vector(values, name: str, interval: str = "[0, 1]") -> np.ndarray:
     """Coerce to a read-only, nonempty 1-D float64 array with entries in
     interval, written as for _inside; by default probabilities. Numbers
-    written as strings are refused, and so are bools, which numpy would
-    read as 1.0 and 0.0."""
+    written as strings are refused, and so are bools (see _is_bool)."""
     try:
         raw = np.asarray(values)
         if raw.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in raw.flat):
             raise TypeError("numbers written as strings are refused")
-        # numpy reads a bool among numbers as a number, so a list is scanned as given
+        # numpy reads a bool among numbers as a number, so a list is scanned
+        # as given: by type, and an array item, 0-d say, by its dtype
         items = (values if isinstance(values, (list, tuple))
                  else raw.flat if raw.dtype.kind == "O" else ())
-        if raw.dtype.kind == "b" or not {bool, np.bool_}.isdisjoint(map(type, items)):
+        types = set(map(type, items))
+        arrays = tuple(t for t in types if issubclass(t, np.ndarray))
+        if (raw.dtype.kind == "b" or bool in types or np.bool_ in types
+                or arrays and any(_is_bool(v) for v in items if isinstance(v, arrays))):
             raise TypeError("bools are refused")
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -97,9 +107,9 @@ def _vector(values, name: str, interval: str = "[0, 1]") -> np.ndarray:
 
 def _scalar(value, name: str, interval: str = "(-inf, inf)") -> float:
     """Coerce to a float in interval, written as for _inside. A number
-    written as a string is refused, and so is a bool."""
+    written as a string is refused, and so is a bool (see _is_bool)."""
     try:
-        if isinstance(value, (str, bytes, bool, np.bool_)):
+        if isinstance(value, (str, bytes)) or _is_bool(value):
             raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError):

@@ -205,7 +205,7 @@ def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
 
     def block_count(b: int, m: int) -> int:
         y, x = _draw_block(seed, b, m, thresholds)
-        return int(np.count_nonzero((_scores(x, rule.offset, rule._tables) >= 0.0) != y))
+        return int(np.count_nonzero((_scores(x, m, rule.offset, rule._tables) >= 0.0) != y))
 
     p_hat = sum(_map_blocks(block_count, trials, workers)) / trials
     return SimulationResult(
@@ -243,7 +243,7 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     thresholds = _thresholds(p)
 
     def block_sums(block: int, m: int) -> tuple[float, float]:
-        ratio = _scores(_draw_block(seed, block, m, thresholds)[1], offset, tables)
+        ratio = _scores(_draw_block(seed, block, m, thresholds)[1], m, offset, tables)
         # min(1, ratio), clipped in the log domain so exp cannot overflow
         np.exp(np.minimum(0.0, ratio, out=ratio), out=ratio)
         total = float(ratio.sum())

@@ -19,11 +19,17 @@ for a = P(vote | label 1) and b = P(vote | label 0).
 
 One kernel, `_scores`, sums this for `score`, `decide_batch` and both
 Monte Carlo estimators, so no caller can drift from the others on a tie.
-`_pack` packs the votes 8 to a byte, and `_byte_tables` holds, for each
-byte, the summed weights of its 8 votes under each of the 256 bit
+It reads the votes packed 8 to a byte, and `_byte_tables` holds, for
+each byte, the summed weights of its 8 votes under each of the 256 bit
 patterns, added in index order from 0.0. The kernel adds the offset and
 then one table entry per byte, byte by byte in index order: one lookup
-per 8 votes, on packed votes that take an eighth of the memory of bools.
+per 8 votes. A batch is read in place, byte by byte: `_byte_columns`
+reads each byte's 8 votes as one word of each row of the caller's own
+buffer and packs it into one reused array of m words, so the working
+memory is a few arrays of m words, whatever n is. Only the last 1 to 7
+votes, when n is not a multiple of 8, are copied, and a non-contiguous
+batch is made contiguous once. Monte Carlo hands the same kernel the
+packed votes of each block, which its `_pack` packs in place.
 
 `decide_batch` certifies the longest leading run of rows that numpy
 holds as a numeric (k, n) array with one vectorized 0/1 test. A 1-byte
@@ -164,7 +170,7 @@ class DecisionRule:
         return x
 
     def _score_rows(self, x: np.ndarray) -> np.ndarray:
-        return _scores(_packed(x), self.offset, self._tables)
+        return _scores(_byte_columns(x), len(x), self.offset, self._tables)
 
     def score(self, x) -> float:
         """Log odds of label 1 given the votes: the offset, then the
@@ -177,7 +183,7 @@ class DecisionRule:
 
     def decide_batch(self, xs) -> list[int]:
         """decide applied elementwise; identical inputs give identical outputs."""
-        return (self._score_rows(self._bit_rows(xs)) >= 0.0).view(np.int8).tolist()
+        return list((self._score_rows(self._bit_rows(xs)) >= 0.0).tobytes())
 
 
 def _numeric(xs, n: int):
@@ -229,27 +235,50 @@ def _pack(words: np.ndarray) -> np.ndarray:
     return np.right_shift(words, np.uint64(56), out=words)
 
 
-def _packed(x: np.ndarray) -> np.ndarray:
-    """The (ceil(n / 8), m) uint8 votes of the rows of (m, n) bool x, as
-    _scores reads them, with the votes past n 0.
-
-    The zero-padded copy of x is packed in place, each 8 bools into the
-    word they fill."""
+def _vote_words(x: np.ndarray):
+    """For each byte j of the contiguous (m, n) 1-byte rows x, the (m,)
+    little-endian words of votes 8j .. 8j + 7: a full byte's word is read
+    in place, unaligned, at offset 8j of each row; the last 1 to 7 votes,
+    when n is not a multiple of 8, are copied into a zero-padded (m, 8)
+    buffer, made only when they are reached, so that it never coexists
+    with the buffer numpy fills for a multiply of unaligned words."""
     m, n = x.shape
-    nb = -(-n // 8)
-    bits = np.zeros((m, 8 * nb), dtype=bool)
-    bits[:, :n] = x
-    return _pack(bits.view("<u8")).T.astype(np.uint8, order="C")
+    full = n - n % 8
+    yield from x[:, :full].view("<u8").T
+    if full < n:
+        pad = np.zeros((m, 8), dtype=np.uint8)
+        pad[:, :n - full] = x[:, full:]
+        yield pad.view("<u8")[:, 0]
 
 
-def _scores(packed: np.ndarray, offset: float, tables: np.ndarray) -> np.ndarray:
-    """offset + sum_j tables[j, packed[j, r]] for each column r of the
-    (ceil(n / 8), m) uint8 votes, added byte by byte in index order (a
-    matmul or a reduction sums in another order); tables from _byte_tables."""
-    s = np.full(packed.shape[1], offset)
-    term = np.empty(packed.shape[1])
+def _byte_columns(x: np.ndarray):
+    """For each byte j of the (m, n) 1-byte 0/1 rows x, the (m,) int64
+    byte j of np.packbits(x, axis=1, bitorder="little"): bit i of it is
+    vote 8j + i, and the votes past n are 0.
+
+    The votes are read from x itself (see _vote_words), made contiguous
+    once if they are not, and each word of 8 is packed into one reused
+    (m,) scratch that every column shares, so a column must be used
+    before the next is drawn."""
+    x = np.ascontiguousarray(x).view(np.uint8)
+    word = np.empty(len(x), dtype=np.uint64)
+    index = word.view(np.int64)  # take reads it with no cast
+    for votes in _vote_words(x):
+        np.multiply(votes, _GATHER, out=word)
+        np.right_shift(word, np.uint64(56), out=word)
+        yield index
+
+
+def _scores(columns, m: int, offset: float, tables: np.ndarray) -> np.ndarray:
+    """offset + sum_j tables[j, col_j[r]] for r < m, added byte by byte in
+    index order (a matmul or a reduction sums in another order), where
+    col_j, item j of columns, holds the (m,) packed votes of byte j as
+    integers: a row of Monte Carlo's uint8 block votes, or a column of
+    _byte_columns. tables from _byte_tables."""
+    s = np.full(m, offset)
+    term = np.empty(m)
     with np.errstate(invalid="ignore"):  # +inf and -inf add to NaN
-        for table, col in zip(tables, packed):
+        for table, col in zip(tables, columns, strict=True):
             table.take(col, out=term, mode="clip")  # a byte needs no bounds check
             s += term
     return s

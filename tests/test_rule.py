@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -247,14 +248,36 @@ class TestByteKernel:
         expected = np.full(50, 0.7)
         for table, col in zip(tables, packed):
             expected = expected + table[col]
-        assert np.array_equal(votebounds.rule._scores(packed, 0.7, tables), expected)
+        assert np.array_equal(votebounds.rule._scores(packed, 50, 0.7, tables), expected)
 
     def test_packing_matches_packbits(self, rng):
+        # each column shares one scratch, so it is copied as it is drawn
+        layouts = {"C-ordered": np.ascontiguousarray, **CALLER_LAYOUTS}
         for n in [*range(1, 66), 1001]:
-            for x in (rng.integers(0, 2, (37, n)).astype(bool), np.eye(n, dtype=bool),
-                      np.ones((2, n), dtype=bool)):
-                ref = np.packbits(x, axis=1, bitorder="little")
-                assert np.array_equal(votebounds.rule._packed(x), ref.T)
+            for m in (0, 1, 37, 4096):
+                bits = rng.integers(0, 2, (m, n))
+                bits[:1] = 1
+                ref = np.packbits(bits, axis=1, bitorder="little").T
+                for dtype in (bool, np.int8, np.uint8):
+                    for layout in layouts.values():
+                        x = layout(bits.astype(dtype))
+                        got = [col.copy() for col in votebounds.rule._byte_columns(x)]
+                        assert {col.dtype for col in got} == {np.dtype(np.int64)}
+                        assert np.array_equal(np.array(got), ref)
+
+    @pytest.mark.parametrize("n", [59, 64, 1001])
+    def test_batch_is_scored_in_a_few_arrays_of_m_words(self, rng, n):
+        # a 1-byte batch is read in place, so the working memory does not
+        # grow with n: below 48 bytes a row
+        rule = build_rule(oracles.random_panel(rng, n))
+        x = rng.integers(0, 2, (4096, n), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            rule.decide_batch(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * len(x)
 
 
 # one vote vector in each row form, from a Python list; a corrupted row
@@ -409,6 +432,7 @@ CALLER_LAYOUTS = {
     "read-only": lambda x: _read_only(x.copy()),
     "fortran": np.asfortranarray,
     "column-sliced": _column_sliced,
+    "negative-stride": lambda x: np.ascontiguousarray(x[::-1, ::-1])[::-1, ::-1],
 }
 
 

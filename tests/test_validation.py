@@ -78,6 +78,10 @@ MALFORMED = {
     "panel-bool-p_y": lambda: ExpertPanel(psi=[0.9], eta=[0.8], p_y=True),
     "rule-bool-offset": lambda: DecisionRule(
         offset=True, vote_one_weights=[1.0], vote_zero_weights=[-1.0]),
+    "panel-0d-bool-array-among-numbers": lambda: ExpertPanel(
+        psi=[np.array(True), 0.6], eta=[0.8, 0.7]),
+    "rule-0d-bool-array-offset": lambda: DecisionRule(
+        offset=np.array(True), vote_one_weights=[1.0], vote_zero_weights=[-1.0]),
     # integers too large for a float
     "panel-huge-int-psi": lambda: validate_panel({"psi": [0.9, 10**400], "eta": [0.8, 0.7]}),
     "panel-huge-int-eta": lambda: ExpertPanel(psi=[0.9], eta=[10**400]),
@@ -112,6 +116,8 @@ BOOL_MESSAGES = {
     "ProductBernoulli-bool-array": "^p is not a numeric sequence: bools are refused",
     "panel-bool-p_y": "^p_y must be a real number, got True$",
     "rule-bool-offset": "^offset must be a real number, got True$",
+    "panel-0d-bool-array-among-numbers": "^psi is not a numeric sequence: bools are refused",
+    "rule-0d-bool-array-offset": r"^offset must be a real number, got array\(True\)$",
 }
 
 
