@@ -31,16 +31,20 @@ votes, when n is not a multiple of 8, are copied, and a non-contiguous
 batch is made contiguous once. Monte Carlo hands the same kernel the
 packed votes of each block, which its `_pack` packs in place.
 
-`decide_batch` certifies the longest leading run of rows that numpy
-holds as a numeric (k, n) array with one vectorized 0/1 test. A 1-byte
-run (bool, int8 or uint8) is certified by its largest byte and then read
-as bools without a copy; any other run (a wider integer or a float), or
-one that fails, takes two passes, `bits = x != 0` and `x == bits`, since
-0 and 1 are the only numbers equal to their own truth value, and the
-second finds the first bad row. A list of int lists is read row by row
-through `bytearray`, not `np.asarray`, into a uint8 run. Only the rows
-from the first uncertified one on (the first bad row, or the first in a
-form numpy cannot hold, such as a bit string) are checked one by one.
+`decide_batch` reads two batch forms with one vectorized 0/1 test and
+checks every other row one by one. A numeric 2-D ndarray of n columns is
+certified as it is, with no copy. A 1-byte array (bool, int8 or uint8)
+is certified by its largest byte and then read as bools; any other
+(a wider integer or a float), or one that fails, takes two passes,
+`bits = x != 0` and `x == bits`, since 0 and 1 are the only numbers
+equal to their own truth value, and the second finds the first bad row.
+A list or tuple batch is read through `bytearray`, row by row, into a
+uint8 run that ends at the first row that is not a list or tuple of n
+ints from 0 to 255 (a row of floats, a 1-D array, a bit string); that
+run is certified in the same way. Every row from the first one not
+certified on, and every row of any other batch (a deque, a generator),
+goes through the per-row check, so a bad batch is rejected with the
+index, and the words, of its first bad row.
 """
 
 from __future__ import annotations
@@ -53,9 +57,6 @@ import numpy as np
 from .core import ExpertPanel, ValidationError, _check_panel, _scalar, _shown, _vector
 
 __all__ = ["DecisionRule", "build_rule"]
-
-# row types a batch's numeric leading run may hold
-_ROW_TYPES = {list, tuple, np.ndarray}
 
 # the little-endian word of 8 bool bytes times _GATHER holds bool byte i
 # in bit 56 + i: byte i times byte k of _GATHER lands on bit 56 + i when
@@ -106,10 +107,12 @@ class DecisionRule:
     def _bit_rows(self, xs) -> np.ndarray:
         """The (m, n) bool votes of a batch, or the first bad row's error.
 
-        The longest leading run of rows that numpy holds as a numeric
-        array is certified by one vectorized test; only the rows from the
-        first one it does not certify go through `_check_bits`, so the
-        error names the same row, in the same words, as a row-by-row check.
+        A numeric (m, n) ndarray is certified as it is, and a list or
+        tuple batch through its leading run of rows that `bytearray`
+        reads (see _leading_run), each by one vectorized 0/1 test. Every
+        other row, from the first one not so certified, goes through
+        `_check_bits`, so the error names the same row, in the same
+        words, as a row-by-row check.
         """
         seq = isinstance(xs, (list, tuple))
         head = self._leading_run(xs) if seq else _numeric(xs, self.n)
@@ -121,10 +124,8 @@ class DecisionRule:
                 bits = head != 0
                 ok = head == bits  # only 0 and 1 equal their own truth value
                 k = k if ok.all() else int(ok.all(axis=1).argmin())
-            if k == len(head) and (not seq or k == len(xs)):
+            if k == len(xs):
                 return bits
-            if not (seq or isinstance(xs, np.ndarray)):
-                k = 0  # an array-like need not slice like its rows
         try:
             indexed = enumerate(xs[k:] if k else xs, k)
         except TypeError:  # a number or a 0-d array, say
@@ -139,35 +140,20 @@ class DecisionRule:
         return np.concatenate([bits[:k], tail]) if k else tail
 
     def _leading_run(self, rows) -> np.ndarray:
-        """The longest leading run of a row sequence that numpy holds as a
-        numeric (k, n) array; k may be 0. A run of int lists ends at a row
-        that `bytearray` cannot read and that holds anything but 0s and 1s."""
+        """The (k, n) uint8 votes of the longest leading run of rows that
+        are lists or tuples of n ints from 0 to 255, each read through
+        `bytearray`; k may be 0. The run ends at the first row that is
+        another type or length, or that `bytearray` cannot read."""
         n = self.n
-        types = set(map(type, rows))
-        try:
-            fits = types <= _ROW_TYPES and set(map(len, rows)) <= {n}
-        except TypeError:  # a 0-d array row
-            fits = False
-        if not fits:
+        if not (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {n}):
             rows = rows[:next(i for i, r in enumerate(rows)
-                              if type(r) not in _ROW_TYPES
-                              or getattr(r, "ndim", 1) != 1 or len(r) != n)]
-            types = set(map(type, rows))
+                              if type(r) not in (list, tuple) or len(r) != n)]
         chunks = []
-        if types <= {list}:  # bytearray(5), bytearray(ndarray) read no votes
-            try:
-                chunks.extend(map(bytearray, rows))  # keeps the rows before an error
-            except (TypeError, ValueError):  # floats, strings, None, ints past 255
-                try:
-                    floats = set(rows[len(chunks)]) <= {0, 1}  # 0.0 == 0
-                except TypeError:  # unhashable votes
-                    floats = False
-                if not floats:  # the per-row check rejects the row or reads strings
-                    rows = rows[:len(chunks)]
-        x = _numeric(rows, n) if len(chunks) < len(rows) else None
-        if x is None:
-            x = np.frombuffer(b"".join(chunks), np.uint8).reshape(-1, n)
-        return x
+        try:
+            chunks.extend(map(bytearray, rows))  # keeps the rows before an error
+        except (TypeError, ValueError):  # floats, strings, None, ints past 255
+            pass
+        return np.frombuffer(b"".join(chunks), np.uint8).reshape(-1, n)
 
     def _score_rows(self, x: np.ndarray) -> np.ndarray:
         return _scores(_byte_columns(x), len(x), self.offset, self._tables)
@@ -182,17 +168,20 @@ class DecisionRule:
         return 1 if self.score(x) >= 0.0 else 0
 
     def decide_batch(self, xs) -> list[int]:
-        """decide applied elementwise; identical inputs give identical outputs."""
+        """decide applied elementwise; identical inputs give identical outputs.
+
+        A numeric 2-D ndarray is certified as it is, and the leading run
+        of list or tuple rows of ints that `bytearray` reads is certified
+        in one test; every other row is checked one by one, which costs
+        10 to 25 times as much per row as the `bytearray` read. A caller
+        holding an array should pass the 2-D array itself, not its rows."""
         return list((self._score_rows(self._bit_rows(xs)) >= 0.0).tobytes())
 
 
-def _numeric(xs, n: int):
-    """xs as a numeric (m, n) array, or None when numpy cannot hold it so."""
-    try:
-        x = np.asarray(xs)
-    except (TypeError, ValueError, OverflowError):  # ragged rows, say
-        return None
-    return x if x.ndim == 2 and x.shape[1] == n and x.dtype.kind in "biuf" else None
+def _numeric(x, n: int):
+    """x when it is a numeric (m, n) ndarray, else None; nothing is converted."""
+    numeric = isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype.kind in "biuf"
+    return x if numeric and x.shape[1] == n else None
 
 
 def _certified(head: np.ndarray):

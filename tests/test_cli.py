@@ -331,8 +331,10 @@ class TestTv:
     def test_dimension_mismatch_fails_validation(self, capsys):
         assert main(["tv", "--p", "0.6,0.5", "--q", "0.4"]) == 1
 
-    def test_bad_number_is_usage_error(self):
+    def test_bad_number_is_usage_error(self, capsys):
         assert main(["tv", "--p", "0.6,zebra", "--q", "0.4"]) == 2
+        assert main(["tv", "--p", ",", "--q", "0.5"]) == 2
+        assert "argument --p: expected at least one number" in capsys.readouterr().err
 
     def test_human_format(self, capsys):
         assert main(["tv", "--p", "0.6", "--q", "0.4"]) == 0

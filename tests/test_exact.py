@@ -95,6 +95,8 @@ class TestMinMass:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             min_mass(ProductBernoulli([0.5]), ProductBernoulli([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="expected a pair of ProductBernoulli laws"):
+            min_mass(ProductBernoulli([0.5]), [0.5])
 
     def test_enumeration_limit(self):
         # six distinct interior pairs reduce to a table of 2^6 points
@@ -386,6 +388,8 @@ class TestAffinity:
             AffinityResult(min_mass=0.3, tv=0.5, bhattacharyya=0.6, n=2)
         with pytest.raises(ValidationError):
             AffinityResult(min_mass=0.5, tv=0.5, bhattacharyya=0.3, n=2)
+        with pytest.raises(ValidationError, match=r"min_mass = 1.5 lies outside \[0, 1\]"):
+            AffinityResult(min_mass=1.5, tv=-0.5, bhattacharyya=0.6, n=2)
 
 
 class TestOptimalError:

@@ -30,6 +30,10 @@ class TestSimulationResult:
         res = SimulationResult(trials=10, empirical_error=0.3, std_error=0.1, seed=0)
         assert res.trials == 10
 
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValidationError, match="trials must be >= 1, got 0"):
+            SimulationResult(trials=0, empirical_error=0.0, std_error=0.0, seed=0)
+
     def test_rejects_fractional_count(self):
         with pytest.raises(ValidationError):
             SimulationResult(trials=10, empirical_error=0.25, std_error=0.1, seed=0)

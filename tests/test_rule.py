@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 import warnings
@@ -463,8 +464,9 @@ class TestCallerArrays:
 
 
 class TestBatchCheckCount:
-    """A 2-D numeric batch is certified in one pass: only its first
-    offending row goes through `_check_bits`."""
+    """A 2-D numeric batch, and the leading run of a list batch's rows
+    that `bytearray` reads, are certified in one pass: only the first
+    offending row, and the rows of other forms, go through `_check_bits`."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -488,10 +490,23 @@ class TestBatchCheckCount:
 
     def test_legal_batches_make_no_row_calls(self, calls, rule, x):
         expected = rule.decide_batch(x)
-        for form in (x.tolist(), x.astype(np.float64), x.astype(np.float64).tolist(),
+        for form in (x.tolist(), [tuple(r) for r in x.tolist()], x.astype(np.float64),
                      x.astype(np.uint8), x.astype(np.int8), x.astype(bool), x.astype(np.uint16)):
             assert rule.decide_batch(form) == expected
         assert calls[0] == 0
+
+    @pytest.mark.parametrize("form, row_calls", [
+        (lambda x: x.astype(np.float64).tolist(), 4096),
+        (lambda x: x[:2048].tolist() + x[2048:].astype(np.float64).tolist(), 2048),
+        (list, 4096),  # a list of 1-D arrays
+        (lambda x: collections.deque(x.tolist()), 4096),
+    ], ids=["float lists", "int then float lists", "1-D arrays", "deque"])
+    def test_other_rows_make_one_row_call_each(self, calls, rule, x, form, row_calls):
+        # a list is checked one by one from the first row `bytearray` cannot
+        # read, and a batch of any other form from its first row
+        expected = rule.decide_batch(x)
+        assert rule.decide_batch(form(x)) == expected
+        assert calls[0] == row_calls
 
     @pytest.mark.parametrize("bad", [2, -1, 256, 0.7, math.nan])
     def test_bad_value_makes_one_row_call(self, calls, rule, x, bad):
