@@ -1,8 +1,11 @@
 """Closed-form bounds on the error of the optimal aggregation rule.
 
-All bounds address a folded panel (prior exactly 1/2); fold a biased
-panel first. The general bounds depend on the panel only through the
-per-expert balanced accuracies pi_i = (psi_i + eta_i) / 2:
+Every bound here bounds the optimal error of the folded panel, the
+quantity optimal_error returns: a prior p_y != 1/2 enters as one more
+expert with psi = eta = p_y (fold_bias), and each function that takes a
+panel folds it first. Only build_rule and simulate_error work at the
+panel's own prior. The general bounds depend on the folded panel only
+through the per-expert balanced accuracies pi_i = (psi_i + eta_i) / 2:
 
     upper:  (1/2) 2^n sqrt(prod_i pi_i (1 - pi_i))
     lower:  (1/2) prod_i 2 min(pi_i, 1 - pi_i)
@@ -29,7 +32,8 @@ are pi_i and its complement, and on a symmetric panel they are p_i and
 1 - p_i exactly. So full_report takes upper, both envelopes and the
 Manino pair from one root product of pi and its complement, in one pass
 over the folded panel: hellinger_upper = 2 upper and manino_upper =
-upper exactly.
+upper exactly. The symmetric pieces take rates already checked, not a
+panel, so full_report tests once that pi is interior.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .core import (
     ExpertPanel,
     ProductBernoulli,
     ValidationError,
-    _check_panel,
     _shown,
     _vector,
     fold_bias,
@@ -70,22 +73,18 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 SWEEP_KINDS = ("asym", "sym")
 
 
-def _require_folded(panel: ExpertPanel) -> None:
-    if _check_panel(panel).p_y != 0.5:
-        raise ValidationError(
-            f"bounds expect a folded panel with p_y = 0.5, got p_y = {panel.p_y}; "
-            "apply fold_bias first"
-        )
-
-
 def _balanced(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]:
-    """(pi, 1 - pi) of a folded panel, the complement summed without cancellation."""
-    _require_folded(panel)
+    """(pi, 1 - pi) of the folded panel, the complement summed without cancellation."""
+    panel = fold_bias(panel)
     return 0.5 * (panel.psi + panel.eta), 0.5 * ((1.0 - panel.psi) + (1.0 - panel.eta))
 
 
 def _symmetric_interior(panel: ExpertPanel) -> np.ndarray:
-    _require_folded(panel)
+    """Rates p of the folded panel, checked symmetric and inside (0, 1).
+
+    Its pi is p and its complement 1 - p, exactly.
+    """
+    panel = fold_bias(panel)
     if not panel.symmetric:
         raise ValidationError("this bound requires psi = eta entrywise")
     return _vector(panel.psi, "psi", "(0, 1)")
@@ -118,20 +117,33 @@ def _lower(pi: np.ndarray, comp: np.ndarray) -> float:
     return 0.5 * float(np.prod(2.0 * np.minimum(pi, comp)))
 
 
-def _symmetric_pieces(panel: ExpertPanel, root: float) -> tuple[float, float]:
-    """(symmetric lower bound, Manino lower bound) of a symmetric interior
-    panel whose root product is root."""
-    p = _symmetric_interior(panel)
+def _symmetric_pieces(p: np.ndarray, root: float) -> tuple[float, float]:
+    """(symmetric lower bound, Manino lower bound) at checked interior rates
+    p whose root product is root."""
     w = np.log(p / (1.0 - p))
     damp = math.exp(-0.5 * math.sqrt(float(np.sum(w * w))))
     return 0.5 * root * damp, 0.36 * root * damp
 
 
+def _potential(p: np.ndarray) -> float:
+    return float(np.sum((p - 0.5) * np.log(p / (1.0 - p))))
+
+
+def _potential_bounds(p: np.ndarray) -> tuple[float, float]:
+    """committee_potential_bounds at checked interior rates p."""
+    potential = _potential(p)
+    x = 2.0 * potential + 4.0 * math.sqrt(potential)
+    # exp(x) overflows past x ~ 709.78; well before that 1 + exp(-x) rounds to 1
+    lower = 0.75 / (1.0 + math.exp(x)) if x < 700.0 else 0.75 * math.exp(-x)
+    return lower, math.exp(-0.5 * potential)
+
+
 def upper_bound(panel: ExpertPanel) -> float:
     """Root-product upper bound from balanced accuracies.
 
-    Zero whenever some expert has psi_i = eta_i = 0 or 1, since one
-    such expert pins the label by itself.
+    Bounds optimal_error(panel): a biased panel is folded first. Zero
+    whenever some expert has psi_i = eta_i = 0 or 1, since one such
+    expert pins the label by itself.
     """
     return _root_bounds(*_balanced(panel))[0]
 
@@ -139,7 +151,8 @@ def upper_bound(panel: ExpertPanel) -> float:
 def lower_bound(panel: ExpertPanel) -> float:
     """Product-of-minima lower bound from balanced accuracies.
 
-    Each factor 2 min(pi_i, 1 - pi_i) lies in [0, 1]; an expert with
+    Bounds optimal_error(panel): a biased panel is folded first. Each
+    factor 2 min(pi_i, 1 - pi_i) lies in [0, 1]; an expert with
     psi_i = eta_i = 0 or 1 zeroes the product, matching the zero upper
     bound there.
     """
@@ -150,10 +163,13 @@ def symmetric_lower_bound(panel: ExpertPanel) -> float:
     """Sharpened lower bound for symmetric panels.
 
     Replaces the product of per-expert penalties by a single euclidean
-    norm of the log odds in the exponent, which can only help. Rejects
+    norm of the log odds in the exponent, which can only help. A biased
+    panel is folded first; its prior becomes an expert with psi = eta,
+    so the folded panel is symmetric when the experts are. Rejects
     asymmetric panels and boundary accuracies, no silent clamping.
     """
-    return _symmetric_pieces(panel, _root_bounds(*_balanced(panel))[2])[0]
+    p = _symmetric_interior(panel)
+    return _symmetric_pieces(p, _root_bounds(p, 1.0 - p)[2])[0]
 
 
 def committee_potential(p) -> float:
@@ -163,14 +179,14 @@ def committee_potential(p) -> float:
     log odds, one below has negative log odds, and the factors always
     share a sign.
     """
-    arr = _vector(p, "p", "(0, 1)")
-    return float(np.sum((arr - 0.5) * np.log(arr / (1.0 - arr))))
+    return _potential(_vector(p, "p", "(0, 1)"))
 
 
 def committee_potential_bounds(panel: ExpertPanel) -> tuple[float, float]:
     """Exponential sandwich driven by the committee potential.
 
-    For a symmetric folded panel with potential F:
+    For a symmetric folded panel with potential F (a biased panel is
+    folded first):
 
         lower = 3 / (4 (1 + exp(2 F + 4 sqrt(F))))
         upper = exp(-F / 2)
@@ -178,12 +194,7 @@ def committee_potential_bounds(panel: ExpertPanel) -> tuple[float, float]:
     Tight in the exponent as F grows but slack for small panels, which is
     what the root-product bounds fix.
     """
-    p = _symmetric_interior(panel)
-    potential = committee_potential(p)
-    x = 2.0 * potential + 4.0 * math.sqrt(potential)
-    # exp(x) overflows past x ~ 709.78; well before that 1 + exp(-x) rounds to 1
-    lower = 0.75 / (1.0 + math.exp(x)) if x < 700.0 else 0.75 * math.exp(-x)
-    return lower, math.exp(-0.5 * potential)
+    return _potential_bounds(_symmetric_interior(panel))
 
 
 def manino_bounds(panel: ExpertPanel) -> tuple[float, float]:
@@ -196,10 +207,12 @@ def manino_bounds(panel: ExpertPanel) -> tuple[float, float]:
         upper = 0.50 * 2^n sqrt(prod p (1-p))
 
     Kept as the comparison target that the 1/2 constant improves on.
-    The upper end is upper_bound itself, since pi = p on such a panel.
+    A biased panel is folded first, and the upper end is upper_bound
+    itself, since pi = p on such a panel.
     """
-    upper, _, root = _root_bounds(*_balanced(panel))
-    return _symmetric_pieces(panel, root)[1], upper
+    p = _symmetric_interior(panel)
+    upper, _, root = _root_bounds(p, 1.0 - p)
+    return _symmetric_pieces(p, root)[1], upper
 
 
 def hellinger_envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float, float]:
@@ -282,7 +295,9 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
     """Evaluate all bounds that apply to a panel, folding the prior first.
 
     The report describes the folded panel, so n counts the extra expert
-    a biased prior turns into. with_exact additionally runs the exact
+    a biased prior turns into, and each field equals the public bound
+    called on the panel itself. It checks once that pi is interior and
+    hands pi to the symmetric pieces. with_exact additionally runs the exact
     enumeration, which requires the reduced table of the folded panel
     to stay within 2^n_max points.
     """
@@ -291,8 +306,8 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
     upper, hell_lower, hell_upper = _root_bounds(pi, comp)
     sym_lower = pot_lower = pot_upper = man_lower = man_upper = None
     if folded.symmetric and np.all((pi > 0.0) & (pi < 1.0)):
-        sym_lower, man_lower = _symmetric_pieces(folded, hell_upper)
-        pot_lower, pot_upper = committee_potential_bounds(folded)
+        sym_lower, man_lower = _symmetric_pieces(pi, hell_upper)
+        pot_lower, pot_upper = _potential_bounds(pi)
         man_upper = upper
     exact = optimal_error(folded, n_max=n_max) if with_exact else None
 

@@ -65,10 +65,6 @@ class TestUpperBound:
         assert_allclose(got, math.sqrt(0.24), rtol=1e-12)
         assert optimal_error(panel) <= got + 1e-12
 
-    def test_requires_folded_panel(self):
-        with pytest.raises(ValidationError):
-            upper_bound(ExpertPanel(psi=[0.6], eta=[0.6], p_y=0.7))
-
     def test_log_domain_survives_large_n(self):
         n = 600
         panel = sym_panel(np.full(n, 0.9))
@@ -103,11 +99,40 @@ class TestLowerBound:
             assert_allclose(lower_bound(panel), expected, rtol=1e-12, atol=1e-15)
 
 
+PANEL_BOUNDS = [upper_bound, lower_bound, symmetric_lower_bound, manino_bounds,
+                committee_potential_bounds]
+
+
+class TestBiasedPanels:
+    @pytest.mark.parametrize("bound", PANEL_BOUNDS, ids=lambda f: f.__name__)
+    def test_bound_is_the_folded_panel_bound_bit_for_bit(self, rng, bound):
+        # the prior folds into an expert with psi = eta = p_y, so a
+        # symmetric biased panel folds to a symmetric one
+        for _ in range(50):
+            n = int(rng.integers(1, 11))
+            p_y = float(rng.uniform(0.05, 0.95))
+            panel = oracles.random_panel(rng, n, p_y=p_y, symmetric=True)
+            expected = np.array(bound(fold_bias(panel)), dtype=float)
+            got = np.array(bound(panel), dtype=float)
+            assert [v.hex() for v in got.flat] == [v.hex() for v in expected.flat]
+        if bound in (upper_bound, lower_bound):
+            panel = oracles.random_panel(rng, 3, p_y=0.3)
+            assert bound(panel).hex() == bound(fold_bias(panel)).hex()
+        else:
+            with pytest.raises(ValidationError, match="psi = eta"):
+                bound(ExpertPanel(psi=[0.6], eta=[0.5], p_y=0.3))
+        with pytest.raises(ValidationError, match="expected an ExpertPanel"):
+            bound({"psi": [0.6], "eta": [0.6], "p_y": 0.3})
+
+
 class TestSandwich:
     def test_thousand_random_panels(self, rng):
-        for _ in range(1000):
+        # a third of the panels biased, half of them symmetric
+        for i in range(1000):
             n = int(rng.integers(1, 11))
-            panel = oracles.random_panel(rng, n, low=1e-9, high=1.0 - 1e-9)
+            p_y = float(rng.uniform(0.05, 0.95)) if i % 3 == 0 else 0.5
+            panel = oracles.random_panel(rng, n, low=1e-9, high=1.0 - 1e-9, p_y=p_y,
+                                         symmetric=i % 2 == 0)
             err = optimal_error(panel)
             assert lower_bound(panel) <= err + 1e-9
             assert err <= upper_bound(panel) + 1e-9
@@ -160,10 +185,6 @@ class TestSymmetricLowerBound:
     def test_rejects_boundary_rates(self):
         with pytest.raises(ValidationError):
             symmetric_lower_bound(sym_panel([1.0, 0.5]))
-
-    def test_rejects_biased_panel(self):
-        with pytest.raises(ValidationError):
-            symmetric_lower_bound(ExpertPanel(psi=[0.6], eta=[0.6], p_y=0.6))
 
     def test_sharpens_general_lower_bound(self, rng):
         for _ in range(1000):
@@ -267,24 +288,19 @@ class TestManinoBounds:
 
 
 class TestSharpeningComparison:
-    def test_log_violations_without_asserting(self, rng, capsys):
-        # claimed elsewhere to sharpen the potential-based pair on both
-        # sides; we count violations over a random suite and report them
-        upper_viol = 0
-        lower_viol = 0
-        total = 300
-        for _ in range(total):
-            n = int(rng.integers(1, 11))
-            panel = oracles.random_panel(rng, n, low=0.01, high=0.99, symmetric=True)
+    def test_root_product_pair_sharpens_the_potential_pair(self, rng):
+        # the upper side is a theorem: per expert log cosh u >= (u tanh u) / 2
+        # at u = w / 2, and the 1/2 in front of the root product makes it
+        # strict; the lower side is the paper's claim, checked here
+        ranges = [(0.01, 0.99), (0.4, 0.6), (1e-6, 0.1), (0.9, 1.0 - 1e-6), (1e-6, 1.0 - 1e-6)]
+        for i in range(1500):
+            low, high = ranges[i % len(ranges)]
+            n = int(rng.integers(1, 60))
+            p_y = float(rng.uniform(0.05, 0.95)) if i % 3 == 0 else 0.5
+            panel = oracles.random_panel(rng, n, low=low, high=high, p_y=p_y, symmetric=True)
             pot_lower, pot_upper = committee_potential_bounds(panel)
-            if upper_bound(panel) > pot_upper + 1e-12:
-                upper_viol += 1
-            if symmetric_lower_bound(panel) < pot_lower - 1e-12:
-                lower_viol += 1
-        print(
-            f"sharpening comparison over {total} symmetric panels: "
-            f"{upper_viol} upper violations, {lower_viol} lower violations"
-        )
+            assert upper_bound(panel) <= pot_upper * (1.0 + RTOL)
+            assert symmetric_lower_bound(panel) >= pot_lower * (1.0 - RTOL)
 
 
 class TestHellingerEnvelopesValues:
@@ -378,14 +394,13 @@ class TestBoundsReport:
                 psi = panel.psi.copy()
                 psi[rng.integers(n)] = float(rng.integers(2))
                 panel = ExpertPanel(psi=psi, eta=psi if rng.random() < 0.5 else panel.eta)
-            folded = fold_bias(panel)
             report = full_report(panel)
-            expected = {"upper": upper_bound(folded), "lower": lower_bound(folded)}
+            expected = {"upper": upper_bound(panel), "lower": lower_bound(panel)}
             if report.symmetric_lower is not None:
-                expected["symmetric_lower"] = symmetric_lower_bound(folded)
+                expected["symmetric_lower"] = symmetric_lower_bound(panel)
                 expected["potential_lower"], expected["potential_upper"] = (
-                    committee_potential_bounds(folded))
-                expected["manino_lower"], expected["manino_upper"] = manino_bounds(folded)
+                    committee_potential_bounds(panel))
+                expected["manino_lower"], expected["manino_upper"] = manino_bounds(panel)
             else:
                 assert kind in ("asymmetric", "boundary")
             for field, value in expected.items():
