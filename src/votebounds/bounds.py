@@ -19,7 +19,12 @@ symmetric panels (psi = eta = p entrywise) the lower bound sharpens to
 
 and that euclidean-norm exponent is a genuinely symmetric phenomenon:
 the counterexample sweep exhibits an asymmetric panel where the
-analogous expression fails to bound anything.
+analogous expression fails to bound anything. The same sandwich with
+the lower constant 0.36 in place of 1/2 is Manino et al.'s earlier
+pair, which the 1/2 sharpens. Only full_report carries it, as
+manino_lower and manino_upper: the one pair of report fields with no
+public function, since the lower end is 0.72 symmetric_lower and the
+upper end is upper itself.
 
 The bounds and the Hellinger envelopes share one root product,
 R = 2^n sqrt(prod_i x_i y_i), assembled as a log so it survives any
@@ -61,7 +66,6 @@ __all__ = [
     "symmetric_lower_bound",
     "committee_potential",
     "committee_potential_bounds",
-    "manino_bounds",
     "hellinger_envelopes",
     "full_report",
     "counterexample_sweep",
@@ -197,24 +201,6 @@ def committee_potential_bounds(panel: ExpertPanel) -> tuple[float, float]:
     return _potential_bounds(_symmetric_interior(panel))
 
 
-def manino_bounds(panel: ExpertPanel) -> tuple[float, float]:
-    """Earlier root-product sandwich for symmetric panels.
-
-    Same shape as symmetric_lower_bound and upper_bound but with the
-    lower constant 0.36 instead of 1/2:
-
-        lower = 0.36 * 2^n sqrt(prod p (1-p)) * exp(-||w||_2 / 2)
-        upper = 0.50 * 2^n sqrt(prod p (1-p))
-
-    Kept as the comparison target that the 1/2 constant improves on.
-    A biased panel is folded first, and the upper end is upper_bound
-    itself, since pi = p on such a panel.
-    """
-    p = _symmetric_interior(panel)
-    upper, _, root = _root_bounds(p, 1.0 - p)
-    return _symmetric_pieces(p, root)[1], upper
-
-
 def hellinger_envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float, float]:
     """Closed-form bracket around the Bhattacharyya affinity.
 
@@ -247,10 +233,13 @@ class BoundsReport:
     sit inside [lower, upper] up to 1e-9. hellinger_lower and
     hellinger_upper bracket the Bhattacharyya affinity of the folded laws,
     not the error, so they can exceed exact: one uninformative expert
-    gives hellinger_lower = 1/sqrt(2) beside exact = 0.5. upper, both
-    envelopes and the Manino pair come from one root product of pi and
-    its complement, so hellinger_upper = 2 upper and manino_upper = upper
-    exactly. Fields are declared in to_dict's output order.
+    gives hellinger_lower = 1/sqrt(2) beside exact = 0.5. manino_lower
+    and manino_upper are Manino et al.'s earlier symmetric pair, lower
+    constant 0.36 in place of symmetric_lower's 1/2, and the one pair
+    with no public function. upper, both envelopes and the Manino pair
+    come from one root product of pi and its complement, so
+    hellinger_upper = 2 upper and manino_upper = upper exactly. Fields
+    are declared in to_dict's output order.
     """
 
     n: int
@@ -296,10 +285,12 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
 
     The report describes the folded panel, so n counts the extra expert
     a biased prior turns into, and each field equals the public bound
-    called on the panel itself. It checks once that pi is interior and
-    hands pi to the symmetric pieces. with_exact additionally runs the exact
-    enumeration, which requires the reduced table of the folded panel
-    to stay within 2^n_max points.
+    called on the panel itself. The Manino pair has no public twin: its
+    lower end is 0.72 symmetric_lower and its upper end is upper. It
+    checks once that pi is interior and hands pi to the symmetric
+    pieces. with_exact additionally runs the exact enumeration, which
+    requires the reduced table of the folded panel to stay within
+    2^n_max points.
     """
     folded = fold_bias(panel)
     pi, comp = _balanced(folded)

@@ -10,9 +10,11 @@ duplicate expert types instead, which reaches the enumeration cap.
 
 The identities of the paper that the library does not compute live
 here too: `min_identity`, `balanced_min_inequality_gap`,
-`complement_symmetry_check` and `tensorization_gap`. So does
-`column_scores`, which adds a rule's weights one vote at a time: the
-reference for the byte-table scoring kernel.
+`complement_symmetry_check` and `tensorization_gap`. So does the
+prior-art pair `manino_bounds`, which the library reports only as two
+`full_report` fields, and so does `column_scores`, which adds a rule's
+weights one vote at a time: the reference for the byte-table scoring
+kernel.
 
 Three kinds of oracle share code with the library on purpose.
 `tensorization_gap` calls the library's `min_mass`, so that the product
@@ -185,6 +187,20 @@ def balanced_min_inequality_gap(s, t):
     """Slack of min(s, 1-t) + min(t, 1-s) >= 2 min(u, 1-u) at u = (s+t)/2."""
     u = 0.5 * (s + t)
     return (min(s, 1.0 - t) + min(t, 1.0 - s)) - 2.0 * min(u, 1.0 - u)
+
+
+def manino_bounds(p):
+    """Manino et al.'s sandwich at symmetric interior rates p, one expert at a time:
+
+        lower = 0.36 * 2^n sqrt(prod_i p_i (1 - p_i)) * exp(-||w||_2 / 2)
+        upper = 0.50 * 2^n sqrt(prod_i p_i (1 - p_i)),   w_i = log(p_i / (1 - p_i))
+
+    The paper's symmetric lower bound is the same lower end with 1/2 in
+    place of 0.36.
+    """
+    root = math.prod(2.0 * math.sqrt(x * (1.0 - x)) for x in p)
+    norm = math.sqrt(sum(math.log(x / (1.0 - x)) ** 2 for x in p))
+    return 0.36 * root * math.exp(-0.5 * norm), 0.5 * root
 
 
 def complement_symmetry_check(psi, eta, r):

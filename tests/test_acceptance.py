@@ -18,9 +18,9 @@ from votebounds import (
     counterexample_sweep,
     estimate_min_mass,
     fold_bias,
+    full_report,
     hellinger_envelopes,
     lower_bound,
-    manino_bounds,
     min_mass,
     optimal_error,
     simulate_error,
@@ -287,8 +287,13 @@ def test_criterion_09_symmetric_sharpening():
             sym = symmetric_lower_bound(panel)
             sharp_ok &= sym >= lower_bound(panel) - 1e-12
             below_ok &= sym <= optimal_error(panel) + 1e-9
-            man_lower, man_upper = manino_bounds(panel)
-            upper_ok &= abs(man_upper - upper_bound(panel)) <= 1e-12 * max(man_upper, 1e-300)
+            # the prior-art pair lives only in the report; the oracle
+            # recomputes it one expert at a time
+            report = full_report(panel)
+            man_lower, man_upper = oracles.manino_bounds(panel.psi)
+            upper_ok &= report.manino_upper == upper_bound(panel)
+            upper_ok &= abs(man_upper - report.manino_upper) <= 1e-12 * max(man_upper, 1e-300)
+            ratio_ok &= abs(sym / report.manino_lower - 0.5 / 0.36) <= 1e-12 * (0.5 / 0.36)
             ratio_ok &= abs(sym / man_lower - 0.5 / 0.36) <= 1e-12 * (0.5 / 0.36)
         return sharp_ok, below_ok, upper_ok, ratio_ok
 

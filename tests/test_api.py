@@ -30,7 +30,6 @@ PUBLIC = [
     "hellinger_envelopes",
     "load_panel",
     "lower_bound",
-    "manino_bounds",
     "min_mass",
     "optimal_error",
     "simulate_error",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from votebounds import (
     full_report,
     hellinger_envelopes,
     lower_bound,
-    manino_bounds,
     min_mass,
     optimal_error,
     symmetric_lower_bound,
@@ -99,8 +99,7 @@ class TestLowerBound:
             assert_allclose(lower_bound(panel), expected, rtol=1e-12, atol=1e-15)
 
 
-PANEL_BOUNDS = [upper_bound, lower_bound, symmetric_lower_bound, manino_bounds,
-                committee_potential_bounds]
+PANEL_BOUNDS = [upper_bound, lower_bound, symmetric_lower_bound, committee_potential_bounds]
 
 
 class TestBiasedPanels:
@@ -159,6 +158,56 @@ class TestSandwich:
             panel = ExpertPanel(psi=[1.0 - a * 1e-13], eta=[1.0 - b * 1e-13])
             report = full_report(panel, with_exact=True)
             assert_relative_sandwich(report.lower, report.exact, report.upper)
+
+
+def sharp_panel(n, e):
+    return ExpertPanel(psi=np.ones(n), eta=np.full(n, e))
+
+
+def sharp_forms(n, e):
+    """((1 - e)^n / 2, (1 - e^2)^(n/2) / 2) at the float e, the powers exact."""
+    c, s = 1 - Fraction(e), 1 - Fraction(e) ** 2
+    upper = float(s ** (n // 2) / 2) * (math.sqrt(float(s)) if n % 2 else 1.0)
+    return float(c ** n / 2), upper
+
+
+# largest relative errors against sharp_forms over the grid below:
+# optimal_error 6.8e-14, lower_bound 5.0e-14, upper_bound 4.2e-13
+SHARP_RTOL = 1e-13
+SHARP_UPPER_RTOL = 1e-12
+SHARP_CASES = [(n, e) for n in (1, 10, 100, 1000) for e in (1e-2, 1e-4, 1e-8, 0.5)]
+
+
+class TestSharpFamilies:
+    """n experts at psi = 1, eta = e: each one's 0 vote under label 1 is
+    impossible, so the exact error is (1 - e)^n / 2, which is lower_bound,
+    and upper_bound is (1 - e^2)^(n/2) / 2. exact / upper =
+    ((1 - e) / (1 + e))^(n/2) tends to 1 as e -> 0: both bounds are sharp
+    at every n."""
+
+    @pytest.mark.parametrize("n, e", SHARP_CASES + [
+        pytest.param(1074, 0.5, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 5: the error 2^-1075 lies below the smallest subnormal, "
+            "so optimal_error and lower_bound both return 0.0"))),
+    ])
+    def test_lower_bound_is_attained(self, n, e):
+        panel = sharp_panel(n, e)
+        exact, lower = optimal_error(panel), lower_bound(panel)
+        assert exact > 0.0 and lower > 0.0
+        want, _ = sharp_forms(n, e)
+        assert_allclose(exact, want, rtol=SHARP_RTOL)
+        assert_allclose(lower, want, rtol=SHARP_RTOL)
+
+    @pytest.mark.parametrize("n, e", SHARP_CASES)
+    def test_upper_bound_is_approached(self, n, e):
+        panel = sharp_panel(n, e)
+        exact, upper = optimal_error(panel), upper_bound(panel)
+        want_exact, want_upper = sharp_forms(n, e)
+        assert_allclose(upper, want_upper, rtol=SHARP_UPPER_RTOL)
+        assert_allclose(exact / upper, want_exact / want_upper,
+                        rtol=SHARP_RTOL + SHARP_UPPER_RTOL)
+        # ((1 - e) / (1 + e))^(n/2) >= 1 - n e
+        assert 1.0 - n * e <= exact / upper <= 1.0
 
 
 class TestSymmetricLowerBound:
@@ -258,33 +307,52 @@ class TestCommitteePotentialBounds:
 
 
 class TestManinoBounds:
+    # the prior-art pair has no public function: full_report carries it,
+    # checked here against the oracle at the folded panel's rates
     def test_uninformative_panel(self):
-        lower, upper = manino_bounds(sym_panel([0.5, 0.5]))
-        assert_allclose(lower, 0.36, rtol=1e-12)
-        assert_allclose(upper, 0.5, rtol=1e-12)
+        report = full_report(sym_panel([0.5, 0.5]))
+        assert_allclose(report.manino_lower, 0.36, rtol=1e-12)
+        assert_allclose(report.manino_upper, 0.5, rtol=1e-12)
+        assert_allclose([report.manino_lower, report.manino_upper],
+                        oracles.manino_bounds([0.5, 0.5]), rtol=1e-12)
 
     def test_single_expert_values(self):
-        lower, upper = manino_bounds(sym_panel([0.6]))
-        assert_allclose(lower, 0.288, atol=1e-4)
-        assert_allclose(upper, math.sqrt(0.24), rtol=1e-12)
+        report = full_report(sym_panel([0.6]))
+        assert_allclose(report.manino_lower, 0.288, atol=1e-4)
+        assert_allclose(report.manino_upper, math.sqrt(0.24), rtol=1e-12)
+        assert_allclose([report.manino_lower, report.manino_upper],
+                        oracles.manino_bounds([0.6]), rtol=1e-12)
 
     def test_upper_identity_with_general_upper(self, rng):
-        for _ in range(200):
+        for i in range(200):
             n = int(rng.integers(1, 11))
-            panel = oracles.random_panel(rng, n, low=0.01, high=0.99, symmetric=True)
-            _, upper = manino_bounds(panel)
-            assert_allclose(upper, upper_bound(panel), rtol=1e-12)
+            p_y = float(rng.uniform(0.05, 0.95)) if i % 2 else 0.5
+            panel = oracles.random_panel(rng, n, low=0.01, high=0.99, p_y=p_y, symmetric=True)
+            report = full_report(panel)
+            assert report.manino_upper == report.upper
+            _, upper = oracles.manino_bounds(fold_bias(panel).psi)
+            assert_allclose(report.manino_upper, upper, rtol=1e-12)
 
     def test_lower_ratio_identity(self, rng):
-        for _ in range(200):
+        for i in range(200):
             n = int(rng.integers(1, 11))
-            panel = oracles.random_panel(rng, n, low=0.01, high=0.99, symmetric=True)
-            lower, _ = manino_bounds(panel)
-            assert_allclose(symmetric_lower_bound(panel) / lower, 0.5 / 0.36, rtol=1e-12)
+            p_y = float(rng.uniform(0.05, 0.95)) if i % 2 else 0.5
+            panel = oracles.random_panel(rng, n, low=0.01, high=0.99, p_y=p_y, symmetric=True)
+            report = full_report(panel)
+            lower, _ = oracles.manino_bounds(fold_bias(panel).psi)
+            assert_allclose(report.manino_lower, lower, rtol=1e-12)
+            assert_allclose(report.symmetric_lower / report.manino_lower, 0.5 / 0.36, rtol=1e-12)
 
-    def test_rejects_asymmetric_panel(self):
-        with pytest.raises(ValidationError):
-            manino_bounds(ExpertPanel(psi=[0.6], eta=[0.5]))
+    @pytest.mark.parametrize("panel", [
+        ExpertPanel(psi=[0.6], eta=[0.5]),
+        ExpertPanel(psi=[0.6], eta=[0.5], p_y=0.3),
+        sym_panel([1.0, 0.5]),
+        sym_panel([0.6, 0.0]),
+    ], ids=["asymmetric", "asymmetric_biased", "psi_one", "psi_zero"])
+    def test_absent_on_asymmetric_or_boundary_panel(self, panel):
+        report = full_report(panel)
+        assert report.manino_lower is None
+        assert report.manino_upper is None
 
 
 class TestSharpeningComparison:
@@ -400,7 +468,11 @@ class TestBoundsReport:
                 expected["symmetric_lower"] = symmetric_lower_bound(panel)
                 expected["potential_lower"], expected["potential_upper"] = (
                     committee_potential_bounds(panel))
-                expected["manino_lower"], expected["manino_upper"] = manino_bounds(panel)
+                # the Manino pair has no public function: its upper end is
+                # upper_bound, its lower end the oracle's
+                expected["manino_upper"] = upper_bound(panel)
+                lower, _ = oracles.manino_bounds(fold_bias(panel).psi)
+                assert_allclose(report.manino_lower, lower, rtol=1e-12)
             else:
                 assert kind in ("asymmetric", "boundary")
             for field, value in expected.items():
