@@ -1,11 +1,12 @@
 """Closed-form bounds on the error of the optimal aggregation rule.
 
-Every bound here bounds the optimal error of the folded panel, the
-quantity optimal_error returns: a prior p_y != 1/2 enters as one more
-expert with psi = eta = p_y (fold_bias), and each function that takes a
-panel folds it first. Only build_rule and simulate_error work at the
-panel's own prior. The general bounds depend on the folded panel only
-through the per-expert balanced accuracies pi_i = (psi_i + eta_i) / 2:
+The paper's results are three panel bounds: upper_bound, lower_bound
+and symmetric_lower_bound. Each bounds the optimal error of the folded
+panel, the quantity optimal_error returns: a prior p_y != 1/2 enters as
+one more expert with psi = eta = p_y (fold_bias), and each function that
+takes a panel folds it first. Only build_rule and simulate_error work at
+the panel's own prior. The general bounds depend on the folded panel
+only through the per-expert balanced accuracies pi_i = (psi_i + eta_i) / 2:
 
     upper:  (1/2) 2^n sqrt(prod_i pi_i (1 - pi_i))
     lower:  (1/2) prod_i 2 min(pi_i, 1 - pi_i)
@@ -19,16 +20,21 @@ symmetric panels (psi = eta = p entrywise) the lower bound sharpens to
 
 and that euclidean-norm exponent is a genuinely symmetric phenomenon:
 the counterexample sweep exhibits an asymmetric panel where the
-analogous expression fails to bound anything. The same sandwich with
-the lower constant 0.36 in place of 1/2 is Manino et al.'s earlier
-pair, which the 1/2 sharpens. Only full_report carries it, as
-manino_lower and manino_upper: the one pair of report fields with no
-public function, since the lower end is 0.72 symmetric_lower and the
-upper end is upper itself.
+analogous expression fails to bound anything.
+
+Two prior-art pairs for symmetric panels live only in full_report, with
+no public function. The same sandwich with the lower constant 0.36 in
+place of 1/2 is Manino et al.'s pair, which the 1/2 sharpens; its lower
+end is 0.72 symmetric_lower and its upper end is upper itself
+(manino_lower, manino_upper). The committee-potential pair of Berend
+and Kontorovich, which the root-product pair sharpens, is driven by
+F = sum_i (p_i - 1/2) w_i (potential_lower, potential_upper).
 
 The bounds and the Hellinger envelopes share one root product,
 R = 2^n sqrt(prod_i x_i y_i), assembled as a log so it survives any
-panel size without overflow. Its complement y is summed from terms that
+panel size without overflow. The log is summed as
+(1/2) sum_i log(4 x_i y_i), one term per expert, so no n log 2 term
+cancels against the sum. Its complement y is summed from terms that
 cannot cancel: ((1 - psi_i) + (1 - eta_i)) / 2 beside pi_i, never
 1 - pi_i, which rounds to 0 when pi_i rounds to 1. The envelopes use it
 at x_i = ((1 - q_i) + p_i) / 2, y_i = ((1 - p_i) + q_i) / 2, since
@@ -64,8 +70,6 @@ __all__ = [
     "upper_bound",
     "lower_bound",
     "symmetric_lower_bound",
-    "committee_potential",
-    "committee_potential_bounds",
     "hellinger_envelopes",
     "full_report",
     "counterexample_sweep",
@@ -98,12 +102,14 @@ def _log_root_product(x: np.ndarray, y: np.ndarray) -> float:
     """log(2^n sqrt(prod_i x_i y_i)), or -inf when some x_i y_i is 0.
 
     y is the caller's complement of x, summed from terms that cannot
-    cancel.
+    cancel. Each term is log(4 x_i y_i), near 0 for a weak expert: the
+    factor 4 is exact, where adding n log 2 to the sum of log(x_i y_i)
+    would cancel about n log 2 and keep its rounding.
     """
     xy = x * y
     if not xy.all():
         return -math.inf
-    return x.size * _LOG2 + 0.5 * float(np.sum(np.log(xy)))
+    return 0.5 * float(np.sum(np.log(4.0 * xy)))
 
 
 def _root_bounds(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -129,13 +135,19 @@ def _symmetric_pieces(p: np.ndarray, root: float) -> tuple[float, float]:
     return 0.5 * root * damp, 0.36 * root * damp
 
 
-def _potential(p: np.ndarray) -> float:
-    return float(np.sum((p - 0.5) * np.log(p / (1.0 - p))))
-
-
 def _potential_bounds(p: np.ndarray) -> tuple[float, float]:
-    """committee_potential_bounds at checked interior rates p."""
-    potential = _potential(p)
+    """The committee-potential pair at checked interior rates p.
+
+    With the potential F = sum_i (p_i - 1/2) log(p_i / (1 - p_i)), whose
+    summands are all nonnegative:
+
+        lower = 3 / (4 (1 + exp(2 F + 4 sqrt(F))))
+        upper = exp(-F / 2)
+
+    Tight in the exponent as F grows but slack for small panels, which is
+    what the root-product bounds fix.
+    """
+    potential = float(np.sum((p - 0.5) * np.log(p / (1.0 - p))))
     x = 2.0 * potential + 4.0 * math.sqrt(potential)
     # exp(x) overflows past x ~ 709.78; well before that 1 + exp(-x) rounds to 1
     lower = 0.75 / (1.0 + math.exp(x)) if x < 700.0 else 0.75 * math.exp(-x)
@@ -176,31 +188,6 @@ def symmetric_lower_bound(panel: ExpertPanel) -> float:
     return _symmetric_pieces(p, _root_bounds(p, 1.0 - p)[2])[0]
 
 
-def committee_potential(p) -> float:
-    """sum_i (p_i - 1/2) log(p_i / (1 - p_i)) for interior accuracies p.
-
-    Every summand is nonnegative: an accuracy above one half has positive
-    log odds, one below has negative log odds, and the factors always
-    share a sign.
-    """
-    return _potential(_vector(p, "p", "(0, 1)"))
-
-
-def committee_potential_bounds(panel: ExpertPanel) -> tuple[float, float]:
-    """Exponential sandwich driven by the committee potential.
-
-    For a symmetric folded panel with potential F (a biased panel is
-    folded first):
-
-        lower = 3 / (4 (1 + exp(2 F + 4 sqrt(F))))
-        upper = exp(-F / 2)
-
-    Tight in the exponent as F grows but slack for small panels, which is
-    what the root-product bounds fix.
-    """
-    return _potential_bounds(_symmetric_interior(panel))
-
-
 def hellinger_envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float, float]:
     """Closed-form bracket around the Bhattacharyya affinity.
 
@@ -233,13 +220,14 @@ class BoundsReport:
     sit inside [lower, upper] up to 1e-9. hellinger_lower and
     hellinger_upper bracket the Bhattacharyya affinity of the folded laws,
     not the error, so they can exceed exact: one uninformative expert
-    gives hellinger_lower = 1/sqrt(2) beside exact = 0.5. manino_lower
-    and manino_upper are Manino et al.'s earlier symmetric pair, lower
-    constant 0.36 in place of symmetric_lower's 1/2, and the one pair
-    with no public function. upper, both envelopes and the Manino pair
-    come from one root product of pi and its complement, so
-    hellinger_upper = 2 upper and manino_upper = upper exactly. Fields
-    are declared in to_dict's output order.
+    gives hellinger_lower = 1/sqrt(2) beside exact = 0.5. Two prior-art
+    symmetric pairs have no public function and live only here:
+    potential_lower and potential_upper, the committee-potential pair,
+    and manino_lower and manino_upper, Manino et al.'s pair with lower
+    constant 0.36 in place of symmetric_lower's 1/2. upper, both
+    envelopes and the Manino pair come from one root product of pi and
+    its complement, so hellinger_upper = 2 upper and manino_upper = upper
+    exactly. Fields are declared in to_dict's output order.
     """
 
     n: int
@@ -284,13 +272,14 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
     """Evaluate all bounds that apply to a panel, folding the prior first.
 
     The report describes the folded panel, so n counts the extra expert
-    a biased prior turns into, and each field equals the public bound
-    called on the panel itself. The Manino pair has no public twin: its
-    lower end is 0.72 symmetric_lower and its upper end is upper. It
-    checks once that pi is interior and hands pi to the symmetric
-    pieces. with_exact additionally runs the exact enumeration, which
-    requires the reduced table of the folded panel to stay within
-    2^n_max points.
+    a biased prior turns into, and upper, lower and symmetric_lower each
+    equal the public bound called on the panel itself. The two prior-art
+    pairs have no public twin: the committee-potential pair is computed
+    only here, and the Manino pair's lower end is 0.72 symmetric_lower
+    and its upper end is upper. It checks once that pi is interior and
+    hands pi to the symmetric pieces. with_exact additionally runs the
+    exact enumeration, which requires the reduced table of the folded
+    panel to stay within 2^n_max points.
     """
     folded = fold_bias(panel)
     pi, comp = _balanced(folded)

@@ -10,11 +10,11 @@ duplicate expert types instead, which reaches the enumeration cap.
 
 The identities of the paper that the library does not compute live
 here too: `min_identity`, `balanced_min_inequality_gap`,
-`complement_symmetry_check` and `tensorization_gap`. So does the
-prior-art pair `manino_bounds`, which the library reports only as two
-`full_report` fields, and so does `column_scores`, which adds a rule's
-weights one vote at a time: the reference for the byte-table scoring
-kernel.
+`complement_symmetry_check` and `tensorization_gap`. So do the two
+prior-art pairs `manino_bounds` and `potential_bounds`, which the
+library reports only as `full_report` fields, and so does
+`column_scores`, which adds a rule's weights one vote at a time: the
+reference for the byte-table scoring kernel.
 
 Three kinds of oracle share code with the library on purpose.
 `tensorization_gap` calls the library's `min_mass`, so that the product
@@ -201,6 +201,21 @@ def manino_bounds(p):
     root = math.prod(2.0 * math.sqrt(x * (1.0 - x)) for x in p)
     norm = math.sqrt(sum(math.log(x / (1.0 - x)) ** 2 for x in p))
     return 0.36 * root * math.exp(-0.5 * norm), 0.5 * root
+
+
+def potential_bounds(p):
+    """Berend and Kontorovich's committee-potential sandwich at symmetric
+    interior rates p, the potential summed one expert at a time:
+
+        lower = 3 / (4 (1 + exp(2 F + 4 sqrt(F))))
+        upper = exp(-F / 2),   F = sum_i (p_i - 1/2) log(p_i / (1 - p_i))
+
+    The lower end is taken in logs, so it underflows to 0 quietly where
+    exp(2 F + 4 sqrt(F)) would overflow.
+    """
+    potential = math.fsum((x - 0.5) * math.log(x / (1.0 - x)) for x in p)
+    t = 2.0 * potential + 4.0 * math.sqrt(potential)
+    return 0.75 * math.exp(-t - math.log1p(math.exp(-t))), math.exp(-0.5 * potential)
 
 
 def complement_symmetry_check(psi, eta, r):

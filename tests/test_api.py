@@ -21,8 +21,6 @@ PUBLIC = [
     "affinity",
     "bhattacharyya",
     "build_rule",
-    "committee_potential",
-    "committee_potential_bounds",
     "counterexample_sweep",
     "estimate_min_mass",
     "fold_bias",

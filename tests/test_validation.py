@@ -22,7 +22,6 @@ from votebounds import (
     ProductBernoulli,
     ValidationError,
     build_rule,
-    committee_potential,
     counterexample_sweep,
     estimate_min_mass,
     fold_bias,
@@ -41,7 +40,6 @@ RULE = build_rule(PANEL)
 ECHO_MAX = 200
 
 MALFORMED = {
-    "committee_potential-string": lambda: committee_potential("abc"),
     "sweep-string-eps": lambda: counterexample_sweep("asym", ["x"]),
     "sweep-scalar-eps": lambda: counterexample_sweep("asym", 0.1),
     "rule-string-offset": lambda: DecisionRule(
