@@ -1,12 +1,14 @@
 """Closed-form bounds on the error of the optimal aggregation rule.
 
 The paper's results are three panel bounds: upper_bound, lower_bound
-and symmetric_lower_bound. Each bounds the optimal error of the folded
-panel, the quantity optimal_error returns: a prior p_y != 1/2 enters as
-one more expert with psi = eta = p_y (fold_bias), and each function that
-takes a panel folds it first. Only build_rule and simulate_error work at
-the panel's own prior. The general bounds depend on the folded panel
-only through the per-expert balanced accuracies pi_i = (psi_i + eta_i) / 2:
+and symmetric_lower_bound. Each is read from full_report, which
+evaluates every panel bound in one pass, and each bounds the optimal
+error of the folded panel, the quantity optimal_error returns: a prior
+p_y != 1/2 enters as one more expert with psi = eta = p_y (fold_bias),
+and each function that takes a panel folds it first. Only build_rule
+and simulate_error work at the panel's own prior. The general bounds
+depend on the folded panel only through the per-expert balanced
+accuracies pi_i = (psi_i + eta_i) / 2:
 
     upper:  (1/2) 2^n sqrt(prod_i pi_i (1 - pi_i))
     lower:  (1/2) prod_i 2 min(pi_i, 1 - pi_i)
@@ -81,23 +83,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 SWEEP_KINDS = ("asym", "sym")
 
 
-def _balanced(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]:
-    """(pi, 1 - pi) of the folded panel, the complement summed without cancellation."""
-    panel = fold_bias(panel)
-    return 0.5 * (panel.psi + panel.eta), 0.5 * ((1.0 - panel.psi) + (1.0 - panel.eta))
-
-
-def _symmetric_interior(panel: ExpertPanel) -> np.ndarray:
-    """Rates p of the folded panel, checked symmetric and inside (0, 1).
-
-    Its pi is p and its complement 1 - p, exactly.
-    """
-    panel = fold_bias(panel)
-    if not panel.symmetric:
-        raise ValidationError("this bound requires psi = eta entrywise")
-    return _vector(panel.psi, "psi", "(0, 1)")
-
-
 def _log_root_product(x: np.ndarray, y: np.ndarray) -> float:
     """log(2^n sqrt(prod_i x_i y_i)), or -inf when some x_i y_i is 0.
 
@@ -121,10 +106,6 @@ def _root_bounds(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     log_root = _log_root_product(x, y)
     root = math.exp(log_root)
     return 0.5 * root, math.exp(log_root - 0.5 * x.size * _LOG2), root
-
-
-def _lower(pi: np.ndarray, comp: np.ndarray) -> float:
-    return 0.5 * float(np.prod(2.0 * np.minimum(pi, comp)))
 
 
 def _symmetric_pieces(p: np.ndarray, root: float) -> tuple[float, float]:
@@ -159,9 +140,9 @@ def upper_bound(panel: ExpertPanel) -> float:
 
     Bounds optimal_error(panel): a biased panel is folded first. Zero
     whenever some expert has psi_i = eta_i = 0 or 1, since one such
-    expert pins the label by itself.
+    expert pins the label by itself. Read from full_report.
     """
-    return _root_bounds(*_balanced(panel))[0]
+    return full_report(panel).upper
 
 
 def lower_bound(panel: ExpertPanel) -> float:
@@ -170,9 +151,9 @@ def lower_bound(panel: ExpertPanel) -> float:
     Bounds optimal_error(panel): a biased panel is folded first. Each
     factor 2 min(pi_i, 1 - pi_i) lies in [0, 1]; an expert with
     psi_i = eta_i = 0 or 1 zeroes the product, matching the zero upper
-    bound there.
+    bound there. Read from full_report.
     """
-    return _lower(*_balanced(panel))
+    return full_report(panel).lower
 
 
 def symmetric_lower_bound(panel: ExpertPanel) -> float:
@@ -181,11 +162,14 @@ def symmetric_lower_bound(panel: ExpertPanel) -> float:
     Replaces the product of per-expert penalties by a single euclidean
     norm of the log odds in the exponent, which can only help. A biased
     panel is folded first; its prior becomes an expert with psi = eta,
-    so the folded panel is symmetric when the experts are. Rejects
-    asymmetric panels and boundary accuracies, no silent clamping.
+    so the folded panel is symmetric when the experts are. Read from
+    full_report; where its symmetric_lower is None (an asymmetric panel or
+    a boundary accuracy) this raises, no silent clamping.
     """
-    p = _symmetric_interior(panel)
-    return _symmetric_pieces(p, _root_bounds(p, 1.0 - p)[2])[0]
+    bound = full_report(panel).symmetric_lower
+    if bound is None:
+        raise ValidationError("this bound requires psi = eta entrywise, strictly inside (0, 1)")
+    return bound
 
 
 def hellinger_envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float, float]:
@@ -272,8 +256,9 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
     """Evaluate all bounds that apply to a panel, folding the prior first.
 
     The report describes the folded panel, so n counts the extra expert
-    a biased prior turns into, and upper, lower and symmetric_lower each
-    equal the public bound called on the panel itself. The two prior-art
+    a biased prior turns into. It is the one place a panel bound is
+    evaluated: upper_bound, lower_bound and symmetric_lower_bound return
+    its upper, lower and symmetric_lower. The two prior-art
     pairs have no public twin: the committee-potential pair is computed
     only here, and the Manino pair's lower end is 0.72 symmetric_lower
     and its upper end is upper. It checks once that pi is interior and
@@ -282,7 +267,8 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
     panel to stay within 2^n_max points.
     """
     folded = fold_bias(panel)
-    pi, comp = _balanced(folded)
+    psi, eta = folded.psi, folded.eta
+    pi, comp = 0.5 * (psi + eta), 0.5 * ((1.0 - psi) + (1.0 - eta))
     upper, hell_lower, hell_upper = _root_bounds(pi, comp)
     sym_lower = pot_lower = pot_upper = man_lower = man_upper = None
     if folded.symmetric and np.all((pi > 0.0) & (pi < 1.0)):
@@ -295,7 +281,7 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
         n=folded.n,
         pi=pi,
         upper=upper,
-        lower=_lower(pi, comp),
+        lower=0.5 * float(np.prod(2.0 * np.minimum(pi, comp))),
         symmetric_lower=sym_lower,
         potential_lower=pot_lower,
         potential_upper=pot_upper,

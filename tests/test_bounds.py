@@ -215,6 +215,10 @@ class TestSharpFamilies:
         assert_allclose(upper_bound(sharp_panel(n, e)), want, rtol=1e-12)
 
 
+# the one refusal names both conditions, whichever of them fails
+SYMMETRIC_REFUSAL = r"psi = eta entrywise, strictly inside \(0, 1\)"
+
+
 class TestSymmetricLowerBound:
     def test_uninformative_panel(self):
         assert_allclose(symmetric_lower_bound(sym_panel([0.5, 0.5])), 0.5, atol=1e-12)
@@ -233,11 +237,11 @@ class TestSymmetricLowerBound:
         assert got <= exact + 1e-9
 
     def test_rejects_asymmetric_panel(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=SYMMETRIC_REFUSAL):
             symmetric_lower_bound(ExpertPanel(psi=[0.6], eta=[0.4]))
 
     def test_rejects_boundary_rates(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=SYMMETRIC_REFUSAL):
             symmetric_lower_bound(sym_panel([1.0, 0.5]))
 
     def test_sharpens_general_lower_bound(self, rng):
