@@ -87,14 +87,21 @@ def _log_root_product(x: np.ndarray, y: np.ndarray) -> float:
     """log(2^n sqrt(prod_i x_i y_i)), or -inf when some x_i y_i is 0.
 
     y is the caller's complement of x, summed from terms that cannot
-    cancel. Each term is log(4 x_i y_i), near 0 for a weak expert: the
-    factor 4 is exact, where adding n log 2 to the sum of log(x_i y_i)
-    would cancel about n log 2 and keep its rounding.
+    cancel. Each term is log(4 x_i y_i): the factor 4 is exact, where
+    adding n log 2 to the sum of log(x_i y_i) would cancel about n log 2
+    and keep its rounding. A weak expert, |d_i| <= 1/2 with d_i = x_i - y_i
+    (exact there), takes log1p(-d_i^2) instead: 4 x_i y_i = 1 - d_i^2
+    rounds near 1, and n such roundings add up. Past 1/2, 1 - d_i^2 would
+    cancel, so log(4 x_i y_i) stays; log1p runs only where |d_i| <= 1/2,
+    since d_i can round to +-1 where x_i y_i does not vanish.
     """
     xy = x * y
     if not xy.all():
         return -math.inf
-    return 0.5 * float(np.sum(np.log(4.0 * xy)))
+    d = x - y
+    terms = np.log(4.0 * xy)
+    np.log1p(-d * d, out=terms, where=np.abs(d) <= 0.5)
+    return 0.5 * float(np.sum(terms))
 
 
 def _root_bounds(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
