@@ -25,7 +25,7 @@ from .bounds import SWEEP_KINDS, counterexample_sweep, full_report, hellinger_en
 from .core import ProductBernoulli, ValidationError, _shown, fold_bias, load_panel
 from .exact import DEFAULT_N_MAX, EnumerationLimitError, affinity, optimal_error
 from .montecarlo import estimate_min_mass, simulate_error
-from .rule import build_rule
+from .rule import _decides_one, build_rule
 
 __all__ = ["main"]
 
@@ -124,7 +124,7 @@ def _cmd_validate(args):
 def _cmd_decide(args):
     panel = load_panel(args.panel)
     score = build_rule(panel).score(args.x)
-    decision = 1 if score >= 0.0 else 0  # decide's tie rule
+    decision = int(_decides_one(score))
     return {"decision": decision, "score": score}, str(decision)
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer
 from .exact import _reduce
-from .rule import _byte_tables, _pack, _scores, build_rule
+from .rule import _byte_tables, _decides_one, _pack, _scores, build_rule
 
 __all__ = ["BLOCK_SIZE", "SimulationResult", "simulate_error", "estimate_min_mass"]
 
@@ -205,7 +205,7 @@ def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
 
     def block_count(b: int, m: int) -> int:
         y, x = _draw_block(seed, b, m, thresholds)
-        return int(np.count_nonzero((_scores(x, m, rule.offset, rule._tables) >= 0.0) != y))
+        return int(np.count_nonzero(_decides_one(_scores(x, m, rule.offset, rule._tables)) != y))
 
     p_hat = sum(_map_blocks(block_count, trials, workers)) / trials
     return SimulationResult(

@@ -18,7 +18,9 @@ holds it. Every other weight is the log ratio log(a / b) written above,
 for a = P(vote | label 1) and b = P(vote | label 0).
 
 One kernel, `_scores`, sums this for `score`, `decide_batch` and both
-Monte Carlo estimators, so no caller can drift from the others on a tie.
+Monte Carlo estimators, and one function, `_decides_one`, holds the tie
+rule for `decide`, `decide_batch`, the CLI's decide and `simulate_error`,
+so no caller can drift from the others on a tie.
 It reads the votes packed 8 to a byte, and `_byte_tables` holds, for
 each byte, the summed weights of its 8 votes under each of the 256 bit
 patterns, added in index order from 0.0. The kernel adds the offset and
@@ -165,7 +167,7 @@ class DecisionRule:
 
     def decide(self, x) -> int:
         """The label guess for one vote vector, ties resolved to 1."""
-        return 1 if self.score(x) >= 0.0 else 0
+        return int(_decides_one(self.score(x)))
 
     def decide_batch(self, xs) -> list[int]:
         """decide applied elementwise; identical inputs give identical outputs.
@@ -175,7 +177,7 @@ class DecisionRule:
         in one test; every other row is checked one by one, which costs
         10 to 25 times as much per row as the `bytearray` read. A caller
         holding an array should pass the 2-D array itself, not its rows."""
-        return list((self._score_rows(self._bit_rows(xs)) >= 0.0).tobytes())
+        return list(_decides_one(self._score_rows(self._bit_rows(xs))).tobytes())
 
 
 def _numeric(x, n: int):
@@ -271,6 +273,12 @@ def _scores(columns, m: int, offset: float, tables: np.ndarray) -> np.ndarray:
             table.take(col, out=term, mode="clip")  # a byte needs no bounds check
             s += term
     return s
+
+
+def _decides_one(score):
+    """The tie rule: True where the score is >= 0, so an exact tie decides
+    1 and a NaN score 0; a bool for a float, a bool array for an array."""
+    return score >= 0.0
 
 
 def build_rule(panel: ExpertPanel) -> DecisionRule:
