@@ -60,20 +60,26 @@ class EnumerationLimitError(ValueError):
     """Instance too large for exact enumeration; use the Monte Carlo module."""
 
 
-def _mass_table(factors, scale: tuple[float, float] = (1.0, 1.0)) -> np.ndarray:
-    """Outcome masses of two product laws, one row each, over all points.
+def _outer_table(factors, start, combine) -> np.ndarray:
+    """Every combination of the factors' states, one table per row of start.
 
-    factors is a sequence of (2, s) arrays, each one finite factor with
-    its P-side masses in row 0 and its Q-side masses in row 1. The state
-    of the first factor is the fastest-varying digit of the column index;
-    for the factors of _bernoulli(p, q), bit i of column j is coordinate
-    i, so table[0, j] is the P-probability of the vector whose i-th entry
-    is the i-th bit of j. Row r is multiplied through by scale[r].
+    start is an (r, 1) array and each factor an (r, s) array of states,
+    row k of the factor belonging to row k of start. The factors are
+    applied in turn, each making the table s times longer: entry
+    i * len + j of the new row is combine(state i of the factor, entry j
+    so far), for len the old length. So the first factor is the
+    fastest-varying digit of the column index, and each entry is
+    combined from start outward in factor order. _overlap multiplies
+    the (2, s) mass factors into a (2, 1) scale; for the factors of
+    _bernoulli(p, q) from [[1], [1]], bit i of column j is coordinate i,
+    so table[0, j] is the P-probability of the vector whose i-th entry
+    is the i-th bit of j. rule._byte_tables adds the vote weights of
+    each bit to zeros.
     """
-    out = np.array(scale, dtype=np.float64).reshape(2, 1)
+    table = np.asarray(start, dtype=np.float64)
     for f in factors:
-        out = (f[:, :, None] * out[:, None, :]).reshape(2, -1)
-    return out
+        table = combine(f[:, :, None], table[:, None, :]).reshape(len(table), -1)
+    return table
 
 
 def _bernoulli(p, q) -> np.ndarray:
@@ -228,8 +234,11 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
     (x, y) with x in A and y in B, a P(x, y) <= b Q(x, y) exactly when
     log P_B(y) - log Q_B(y) <= log b Q_A(x) - log a P_A(x), so with B
     sorted by that ratio P is the minimum on a prefix and Q on the
-    suffix. A is sorted by its threshold too, so the search runs on
-    sorted keys, which is several times faster than on unsorted ones.
+    suffix. Each half's P and Q masses are one _outer_table of its
+    factors, multiplied into the rows [1, 1] for B and [a, b] for A; A's
+    rows are then swapped, Q first, so that its keys are the thresholds.
+    A is sorted by its threshold too, so the search runs on sorted keys,
+    which is several times faster than on unsorted ones.
     Each array is released as soon as it is used: every page the call
     touches for the first time costs a page fault, and blocks freed
     earlier in the call are reused without one.
@@ -255,8 +264,8 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
     single = r.m == 1
     factors.extend(_bernoulli(r.p[single], r.q[single]))
     half_a, half_b = _halves(factors)
-    ratio_b, pb, qb = _sorted_by_log_ratio(_mass_table(half_b))
-    thresh_a, qa, pa = _sorted_by_log_ratio(_mass_table(half_a, (r.a, r.b))[::-1])
+    ratio_b, pb, qb = _sorted_by_log_ratio(_outer_table(half_b, [[1], [1]], np.multiply))
+    thresh_a, qa, pa = _sorted_by_log_ratio(_outer_table(half_a, [[r.a], [r.b]], np.multiply)[::-1])
     k = np.searchsorted(ratio_b, thresh_a, side="right")
     del ratio_b, thresh_a
     p_low, p_high = _below_above(pb, k)

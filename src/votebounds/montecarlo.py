@@ -25,9 +25,12 @@ hold exactly the votes of one whole-block draw.
 
 estimate_min_mass samples only the interior coordinates of the pair's
 exact reduction (see exact._Reduced).
-Each block is scored in one rule._scores call: the offset, then one
-256-entry table lookup per byte of 8 votes, byte by byte in index
-order. simulate_error counts the block's mismatches, and
+Each block is scored in one rule._scores call with the offset and byte
+tables of a rule.DecisionRule: the panel's build_rule for
+simulate_error, and for estimate_min_mass the rule whose weights are the
+log ratios of Q' to P' and whose offset is log b - log a. The offset
+comes first, then one 256-entry table lookup per byte of 8 votes, byte
+by byte in index order. simulate_error counts the block's mismatches, and
 estimate_min_mass turns the scores into clipped ratios in place and
 sums them once and, squared in place, once more. Working memory per
 worker is about 25 KiB per expert for simulate_error: the chunk's words
@@ -47,7 +50,7 @@ import numpy as np
 
 from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer
 from .exact import _reduce
-from .rule import _byte_tables, _decides_one, _pack, _scores, build_rule
+from .rule import DecisionRule, _decides_one, _pack, _scores, build_rule
 
 __all__ = ["BLOCK_SIZE", "SimulationResult", "simulate_error", "estimate_min_mass"]
 
@@ -238,12 +241,12 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     if not r.m.size or min(r.a, r.b) == 0.0:
         return min(r.a, r.b), 0.0
     p, q = np.repeat(r.p, r.m), np.repeat(r.q, r.m)
-    offset = math.log(r.b) - math.log(r.a)
-    tables = _byte_tables(np.log(q) - np.log(p), np.log(1.0 - q) - np.log(1.0 - p))
+    rule = DecisionRule(math.log(r.b) - math.log(r.a), np.log(q) - np.log(p),
+                        np.log(1.0 - q) - np.log(1.0 - p))
     thresholds = _thresholds(p)
 
     def block_sums(block: int, m: int) -> tuple[float, float]:
-        ratio = _scores(_draw_block(seed, block, m, thresholds)[1], m, offset, tables)
+        ratio = _scores(_draw_block(seed, block, m, thresholds)[1], m, rule.offset, rule._tables)
         # min(1, ratio), clipped in the log domain so exp cannot overflow
         np.exp(np.minimum(0.0, ratio, out=ratio), out=ratio)
         total = float(ratio.sum())

@@ -23,15 +23,20 @@ rule for `decide`, `decide_batch`, the CLI's decide and `simulate_error`,
 so no caller can drift from the others on a tie.
 It reads the votes packed 8 to a byte, and `_byte_tables` holds, for
 each byte, the summed weights of its 8 votes under each of the 256 bit
-patterns, added in index order from 0.0. The kernel adds the offset and
-then one table entry per byte, byte by byte in index order: one lookup
-per 8 votes. A batch is read in place, byte by byte: `_byte_columns`
-reads each byte's 8 votes as one word of each row of the caller's own
-buffer and packs it into one reused array of m words, so the working
-memory is a few arrays of m words, whatever n is. Only the last 1 to 7
-votes, when n is not a multiple of 8, are copied, and a non-contiguous
-batch is made contiguous once. Monte Carlo hands the same kernel the
-packed votes of each block, which its `_pack` packs in place.
+patterns, added in index order from 0.0. They are built by
+`exact._outer_table`, the one doubling builder, which also builds the
+exact kernel's mass tables, and only `DecisionRule` builds them: both
+Monte Carlo estimators take the offset and tables of a rule. The kernel
+adds the offset and then one table entry per byte, byte by byte in index
+order: one lookup per 8 votes. `_pack` is the one packer, one multiply
+and one shift per 8 votes. A batch is read in place, byte by byte:
+`_byte_columns` reads each byte's 8 votes as one word of each row of the
+caller's own buffer, and `_pack` packs it into one reused array of m
+words, so the working memory is a few arrays of m words, whatever n is.
+Only the last 1 to 7 votes, when n is not a multiple of 8, are copied,
+and a non-contiguous batch is made contiguous once. Monte Carlo packs
+each chunk of a block's votes in place through the same `_pack` and
+hands the kernel the packed votes of the block.
 
 `decide_batch` reads two batch forms with one vectorized 0/1 test and
 checks every other row one by one. A numeric 2-D ndarray of n columns is
@@ -57,6 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ExpertPanel, ValidationError, _check_panel, _scalar, _shown, _vector
+from .exact import _outer_table
 
 __all__ = ["DecisionRule", "build_rule"]
 
@@ -201,29 +207,32 @@ def _byte_tables(w1: np.ndarray, w0: np.ndarray) -> np.ndarray:
     """(ceil(n / 8), 256) tables: entry v of table j is the summed weight
     of votes 8j .. 8j + 7 when vote 8j + i is bit i of v (w1[8j + i] if
     the bit is set, else w0[8j + i]), added in index order from 0.0.
-    Votes past n weigh 0, so the padding bits of the last byte add 0."""
+    Votes past n weigh 0, so the padding bits of the last byte add 0.
+
+    One exact._outer_table call builds them all: bit i of every byte is
+    its factor i, the (nb, 2) weights [w0, w1] of votes 8j + i, added
+    to zeros, so bit 0 is the fastest-varying digit of v and is added
+    first."""
     nb = -(-w1.size // 8)
-    weights = np.zeros((2, 8 * nb, 1))
-    weights[0, :w0.size, 0] = w0
-    weights[1, :w1.size, 0] = w1
-    tables = np.zeros((nb, 1))
-    # step i appends bit i: entries v + 2^i add w1, entries v add w0;
+    bits = np.zeros((8 * nb, 2))
+    bits[:w0.size, 0], bits[:w1.size, 1] = w0, w1
     # a +inf and a -inf vote in one byte add to NaN
     with np.errstate(invalid="ignore"):
-        for i in range(8):
-            tables = np.concatenate([tables + weights[0, i::8], tables + weights[1, i::8]], axis=1)
-    return tables
+        return _outer_table(bits.reshape(nb, 8, 2).transpose(1, 0, 2), np.zeros((nb, 1)), np.add)
 
 
-def _pack(words: np.ndarray) -> np.ndarray:
-    """Pack in place words, the (m, k) little-endian uint64 view of an
-    (m, 8k) bool array bits, and return it: word j of a row becomes byte j
-    of np.packbits(bits, axis=1, bitorder="little"), so bit i of it is
-    vote 8j + i. Each word ends below 256, so its bytes 1 .. 7 are written
-    as 0. One multiply and one shift per 8 votes, where packbits walks the
-    votes one by one."""
-    np.multiply(words, _GATHER, out=words)
-    return np.right_shift(words, np.uint64(56), out=words)
+def _pack(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pack words, the (m, k) little-endian uint64 view of an (m, 8k) bool
+    array bits, into out (in place by default) and return it: word j of a
+    row becomes byte j of np.packbits(bits, axis=1, bitorder="little"), so
+    bit i of it is vote 8j + i. Each word ends below 256, so its bytes
+    1 .. 7 are written as 0. One multiply and one shift per 8 votes, where
+    packbits walks the votes one by one. It is the one packer: Monte
+    Carlo packs each chunk of bool votes in place, and _byte_columns
+    packs each word of a batch into its scratch."""
+    out = words if out is None else out
+    np.multiply(words, _GATHER, out=out)
+    return np.right_shift(out, np.uint64(56), out=out)
 
 
 def _vote_words(x: np.ndarray):
@@ -248,15 +257,14 @@ def _byte_columns(x: np.ndarray):
     vote 8j + i, and the votes past n are 0.
 
     The votes are read from x itself (see _vote_words), made contiguous
-    once if they are not, and each word of 8 is packed into one reused
+    once if they are not, and _pack packs each word of 8 into one reused
     (m,) scratch that every column shares, so a column must be used
     before the next is drawn."""
     x = np.ascontiguousarray(x).view(np.uint8)
     word = np.empty(len(x), dtype=np.uint64)
     index = word.view(np.int64)  # take reads it with no cast
     for votes in _vote_words(x):
-        np.multiply(votes, _GATHER, out=word)
-        np.right_shift(word, np.uint64(56), out=word)
+        _pack(votes, out=word)
         yield index
 
 

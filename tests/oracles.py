@@ -297,20 +297,21 @@ def whole_block_estimate_min_mass(P, Q, trials, seed):
     (m, n) array, with the ratio clipped at 1 after exp, not before."""
     from votebounds.exact import _reduce
     from votebounds.montecarlo import BLOCK_SIZE, _block_generator
-    from votebounds.rule import _byte_tables, _scores
+    from votebounds.rule import DecisionRule, _scores
 
     r = _reduce(P, Q)
     if not r.m.size or min(r.a, r.b) == 0.0:
         return min(r.a, r.b), 0.0
     p, q = np.repeat(r.p, r.m), np.repeat(r.q, r.m)
-    tables = _byte_tables(np.log(q) - np.log(p), np.log(1.0 - q) - np.log(1.0 - p))
-    offset = math.log(r.b) - math.log(r.a)
+    rule = DecisionRule(math.log(r.b) - math.log(r.a), np.log(q) - np.log(p),
+                        np.log(1.0 - q) - np.log(1.0 - p))
     total = 0.0
     total_sq = 0.0
     for block in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
         m = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
         x = _block_generator(seed, block).random((m, p.size)) < p
-        log_lr = _scores(np.packbits(x, axis=1, bitorder="little").T, m, offset, tables)
+        log_lr = _scores(np.packbits(x, axis=1, bitorder="little").T, m, rule.offset,
+                         rule._tables)
         ratio = np.minimum(1.0, np.exp(log_lr))
         total += float(ratio.sum())
         total_sq += float(np.square(ratio).sum())

@@ -120,6 +120,13 @@ class TestDecide:
     def test_non_bit_string_is_usage_error(self, three_expert_path, capsys):
         assert main(["decide", three_expert_path, "--x", "102"]) == 2
 
+    def test_exact_tie_decides_one(self, tmp_path, capsys):
+        # votes 1, 0, 0 weigh log(0.5 / 0.25), log(0.25 / 0.5) and 0, which
+        # add to exactly 0.0, and a tie decides 1
+        path = write_panel(tmp_path, psi=[0.5, 0.75, 0.6], eta=[0.75, 0.5, 0.4])
+        assert main(["decide", path, "--x", "100", "--format", "json"]) == 0
+        assert capsys.readouterr().out == '{"decision": 1, "score": 0.0}\n'
+
     def test_vetoed_vector_decides_zero_with_null_score(self, tmp_path, capsys):
         # expert 1 always votes 1 under label 1, and it voted 0; the score
         # is -inf, which strict JSON has no number for

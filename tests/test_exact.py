@@ -19,7 +19,7 @@ from votebounds import (
     optimal_error,
     tv_distance,
 )
-from votebounds.exact import _reduce
+from votebounds.exact import _outer_table, _reduce
 
 import oracles
 
@@ -166,6 +166,30 @@ def duplicate_pair(rng, counts):
     pick = np.repeat(np.arange(len(counts)), counts)
     rng.shuffle(pick)
     return ProductBernoulli(p[pick]), ProductBernoulli(q[pick]), p, q
+
+
+class TestOuterTable:
+    # the doubling builder behind exact's mass tables and the rule's byte
+    # tables: entry i0 + 2 i1 + 6 i2 of row r combines start[r] with
+    # state i0 of the first factor, then i1 of the second, then i2 of
+    # the third, each step as combine(state, entry so far); subtract
+    # pins that argument order, which add and multiply cannot see
+    @pytest.mark.parametrize("combine", [np.multiply, np.add, np.subtract])
+    def test_first_factor_is_the_fastest_digit_and_is_combined_first(self, rng, combine):
+        start = rng.uniform(0.5, 2.0, (2, 1))
+        factors = [rng.uniform(0.5, 2.0, (2, s)) for s in (2, 3, 2)]
+        table = _outer_table(factors, start, combine)
+        assert table.shape == (2, 12)
+        expected = np.empty((2, 12))
+        for r in range(2):
+            for i2 in range(2):
+                for i1 in range(3):
+                    for i0 in range(2):
+                        entry = start[r, 0]
+                        for f, i in zip(factors, (i0, i1, i2)):
+                            entry = combine(f[r, i], entry)
+                        expected[r, i0 + 2 * i1 + 6 * i2] = entry
+        assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
 
 
 class TestPanelReduction:

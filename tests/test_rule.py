@@ -236,20 +236,30 @@ class TestByteKernel:
         assert np.all(np.abs(got - ref) <= n * 2.0**-52 * scale)
 
     def test_adds_each_byte_and_then_the_bytes_in_index_order(self, rng):
-        n = 21
-        w1, w0 = rng.normal(size=n), rng.normal(size=n)
-        tables = votebounds.rule._byte_tables(w1, w0)
-        assert tables.shape == (3, 256)
-        for j, v in [(0, 0), (0, 0b10110101), (0, 255), (2, 0b11010), (2, 255)]:
-            expected = 0.0
-            for i in range(8 * j, min(8 * j + 8, n)):
-                expected += w1[i] if v >> (i - 8 * j) & 1 else w0[i]
-            assert tables[j, v] == expected
-        packed = rng.integers(0, 256, (3, 50), dtype=np.uint8)
-        expected = np.full(50, 0.7)
-        for table, col in zip(tables, packed):
-            expected = expected + table[col]
-        assert np.array_equal(votebounds.rule._scores(packed, 50, 0.7, tables), expected)
+        for n in (1, 8, 9, 21, 64):
+            w1, w0 = rng.normal(size=n), rng.normal(size=n)
+            # a byte holding a +inf and a -inf vote reads NaN
+            w1[::5], w0[3::7] = np.inf, -np.inf
+            tables = votebounds.rule._byte_tables(w1, w0)
+            nb = -(-n // 8)
+            assert tables.shape == (nb, 256)
+            ones, zeros = w1.tolist(), w0.tolist()  # Python floats: inf - inf is quietly NaN
+            expected = np.empty((nb, 256))
+            for j in range(nb):
+                for v in range(256):
+                    total = 0.0
+                    for i in range(8 * j, min(8 * j + 8, n)):
+                        total += ones[i] if v >> (i - 8 * j) & 1 else zeros[i]
+                    expected[j, v] = total
+            assert np.array_equal(tables.view(np.uint64), expected.view(np.uint64))
+            assert np.isnan(tables).any() == (n > 3)
+            packed = rng.integers(0, 256, (nb, 50), dtype=np.uint8)
+            expected = np.full(50, 0.7)
+            with np.errstate(invalid="ignore"):
+                for table, col in zip(tables, packed):
+                    expected = expected + table[col]
+            assert np.array_equal(votebounds.rule._scores(packed, 50, 0.7, tables), expected,
+                                  equal_nan=True)
 
     def test_packing_matches_packbits(self, rng):
         # each column shares one scratch, so it is copied as it is drawn
