@@ -26,11 +26,11 @@ analogous expression fails to bound anything.
 
 Two prior-art pairs for symmetric panels live only in full_report, with
 no public function. The same sandwich with the lower constant 0.36 in
-place of 1/2 is Manino et al.'s pair, which the 1/2 sharpens; its lower
-end is 0.72 symmetric_lower and its upper end is upper itself
-(manino_lower, manino_upper). The committee-potential pair of Berend
-and Kontorovich, which the root-product pair sharpens, is driven by
-F = sum_i (p_i - 1/2) w_i (potential_lower, potential_upper).
+place of 1/2 is Manino et al.'s pair, which the 1/2 sharpens
+(manino_lower, 0.72 symmetric_lower, and manino_upper, see below). The
+committee-potential pair of Berend and Kontorovich, which the
+root-product pair sharpens, is driven by F = sum_i (p_i - 1/2) w_i
+(potential_lower, potential_upper).
 
 The bounds and the Hellinger envelopes share one root product,
 R = 2^n sqrt(prod_i x_i y_i), assembled as a log so it survives any
@@ -49,8 +49,9 @@ are pi_i and its complement, and on a symmetric panel they are p_i and
 1 - p_i exactly. So full_report takes upper, both envelopes and the
 Manino pair from one root product of pi and its complement, in one pass
 over the folded panel: hellinger_upper = 2 upper and manino_upper =
-upper exactly. The symmetric pieces take rates already checked, not a
-panel, so full_report tests once that pi is interior.
+upper exactly, so neither adds a number of its own. The symmetric
+pieces take rates already checked, not a panel, so full_report tests
+once that pi is interior.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .core import (
     ExpertPanel,
     ProductBernoulli,
     ValidationError,
+    _check_unit,
     _shown,
     _vector,
     fold_bias,
@@ -76,7 +78,6 @@ __all__ = [
     "upper_bound",
     "lower_bound",
     "symmetric_lower_bound",
-    "hellinger_envelopes",
     "full_report",
     "counterexample_sweep",
 ]
@@ -183,8 +184,9 @@ def symmetric_lower_bound(panel: ExpertPanel) -> float:
     return bound
 
 
-def hellinger_envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float, float]:
-    """Closed-form bracket around the Bhattacharyya affinity.
+def _envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float, float]:
+    """Closed-form bracket around the Bhattacharyya affinity, for the tv
+    payload's hellinger_lower and hellinger_upper.
 
     With d_i = p_i - q_i:
 
@@ -194,11 +196,10 @@ def hellinger_envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float
     lower one reflects that each factor of the affinity is at least
     1/sqrt(2) times its envelope. 1 - d_i^2 is never formed: it equals
     4 x_i y_i with x_i = ((1 - q_i) + p_i) / 2 and y_i = ((1 - p_i) + q_i) / 2,
-    so the upper envelope is the bounds' root product at (x, y). On the
-    folded laws of a panel x is pi and y its complement, so the upper
-    envelope is twice upper_bound and adds nothing beyond it; full_report
-    takes both envelopes from the root product of pi and its complement,
-    where this function would read pi back from the rounded 1 - (1 - eta).
+    so the upper envelope is the bounds' root product at (x, y).
+    full_report takes a panel's envelopes from the root product of pi and
+    its complement, where this function would read pi back from the
+    rounded 1 - (1 - eta).
     """
     _check_pair(P, Q)
     p, q = P.p, Q.p
@@ -220,9 +221,8 @@ class BoundsReport:
     potential_lower and potential_upper, the committee-potential pair,
     and manino_lower and manino_upper, Manino et al.'s pair with lower
     constant 0.36 in place of symmetric_lower's 1/2. upper, both
-    envelopes and the Manino pair come from one root product of pi and
-    its complement, so hellinger_upper = 2 upper and manino_upper = upper
-    exactly. Fields are declared in to_dict's output order.
+    envelopes and the Manino pair come from one root product (see the
+    module docstring). Fields are declared in to_dict's output order.
     """
 
     n: int
@@ -242,12 +242,7 @@ class BoundsReport:
 
     def __post_init__(self):
         object.__setattr__(self, "pi", _vector(self.pi, "pi"))
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.name in ("n", "pi") or value is None:
-                continue
-            if not -self._TOL <= value <= 1.0 + self._TOL:
-                raise ValidationError(f"{field.name} = {value} lies outside [0, 1]")
+        _check_unit(self, [f.name for f in fields(self) if f.name not in ("n", "pi")], self._TOL)
         if self.exact is not None:
             if not self.lower - self._TOL <= self.exact <= self.upper + self._TOL:
                 raise ValidationError(
@@ -271,9 +266,9 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
     evaluated: upper_bound, lower_bound and symmetric_lower_bound return
     its upper, lower and symmetric_lower. The two prior-art
     pairs have no public twin: the committee-potential pair is computed
-    only here, and the Manino pair's lower end is 0.72 symmetric_lower
-    and its upper end is upper. It checks once that pi is interior and
-    hands pi to the symmetric pieces. with_exact additionally runs the
+    only here, and the Manino pair's lower end is 0.72 symmetric_lower.
+    It checks once that pi is interior and hands pi to the symmetric
+    pieces. with_exact additionally runs the
     exact enumeration, which requires the reduced table of the folded
     panel to stay within 2^n_max points.
     """

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 
-from .bounds import SWEEP_KINDS, counterexample_sweep, full_report, hellinger_envelopes
+from .bounds import SWEEP_KINDS, _envelopes, counterexample_sweep, full_report
 from .core import ProductBernoulli, ValidationError, _shown, fold_bias, load_panel
 from .exact import DEFAULT_N_MAX, EnumerationLimitError, affinity, optimal_error
 from .montecarlo import estimate_min_mass, simulate_error
@@ -164,7 +164,7 @@ def _cmd_tv(args):
     P = ProductBernoulli(args.p)
     Q = ProductBernoulli(args.q)
     result = affinity(P, Q, n_max=args.n_max)
-    hell_lower, hell_upper = hellinger_envelopes(P, Q)
+    hell_lower, hell_upper = _envelopes(P, Q)
     payload = {
         "n": result.n,
         "tv": result.tv,

@@ -129,6 +129,16 @@ def _integer(value, name: str, least: int | None = 1) -> int:
     return int(value)
 
 
+def _check_unit(record, names, slack: float) -> None:
+    """Raise on the first field of record, in the order of names, that lies
+    outside [-slack, 1 + slack]; a None field is skipped, and NaN never
+    lies inside. The one [0, 1] check of the result records."""
+    for name in names:
+        value = getattr(record, name)
+        if value is not None and not -slack <= value <= 1.0 + slack:
+            raise ValidationError(f"{name} = {value} lies outside [0, 1]")
+
+
 @dataclass(frozen=True, eq=False)
 class ProductBernoulli:
     """Product of independent Bernoulli coordinates on {0, 1}^n.

@@ -40,14 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer, fold_bias
+from .core import ExpertPanel, ProductBernoulli, ValidationError, _check_unit, _integer, fold_bias
 
 __all__ = [
     "DEFAULT_N_MAX",
     "EnumerationLimitError",
     "AffinityResult",
     "min_mass",
-    "tv_distance",
     "bhattacharyya",
     "affinity",
     "optimal_error",
@@ -294,12 +293,6 @@ def min_mass(P: ProductBernoulli, Q: ProductBernoulli, *,
     return _overlap(P, Q, n_max)[0]
 
 
-def tv_distance(P: ProductBernoulli, Q: ProductBernoulli, *,
-                n_max: int = DEFAULT_N_MAX) -> float:
-    """Total variation distance, half the l1 distance between the laws."""
-    return 0.5 * _overlap(P, Q, n_max)[1]
-
-
 def bhattacharyya(P: ProductBernoulli, Q: ProductBernoulli) -> float:
     """Bhattacharyya affinity, sum over x of sqrt(P(x) Q(x)).
 
@@ -328,10 +321,7 @@ class AffinityResult:
     _TOL = 1e-9
 
     def __post_init__(self):
-        for name in ("min_mass", "tv", "bhattacharyya"):
-            value = getattr(self, name)
-            if not -self._TOL <= value <= 1.0 + self._TOL:
-                raise ValidationError(f"{name} = {value} lies outside [0, 1]")
+        _check_unit(self, ("min_mass", "tv", "bhattacharyya"), self._TOL)
         if abs(self.min_mass + self.tv - 1.0) > 1e-12:
             raise ValidationError(
                 f"min_mass + tv = {self.min_mass + self.tv} deviates from 1"

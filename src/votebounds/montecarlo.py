@@ -7,11 +7,12 @@ every platform, and distinct blocks get independent streams by
 construction rather than by distance in one long stream.
 
 Trials are sharded into fixed-size blocks, which _map_blocks fans out
-over worker threads. Each block reduces to either an integer mismatch
-count or a pair of partial float sums, and those are combined in block
-order, so the worker count never changes the result. The worker count is
-the workers argument, 1 by default; the two estimators here are the only
-code that takes one.
+over worker threads. _scored_blocks is the one block loop of both
+estimators: it draws each block, scores it with a rule and reduces it to
+either an integer mismatch count or a pair of partial float sums, and
+those are combined in block order, so the worker count never changes the
+result. The worker count is the workers argument, 1 by default; the two
+estimators here are the only code that takes one.
 
 A block is drawn _CHUNK_ROWS trials at a time as raw 64-bit Philox
 words, and its votes are packed 8 to a byte (see _draw_block). A vote at
@@ -25,20 +26,19 @@ hold exactly the votes of one whole-block draw.
 
 estimate_min_mass samples only the interior coordinates of the pair's
 exact reduction (see exact._Reduced).
-Each block is scored in one rule._scores call with the offset and byte
-tables of a rule.DecisionRule: the panel's build_rule for
-simulate_error, and for estimate_min_mass the rule whose weights are the
-log ratios of Q' to P' and whose offset is log b - log a. The offset
-comes first, then one 256-entry table lookup per byte of 8 votes, byte
-by byte in index order. simulate_error counts the block's mismatches, and
-estimate_min_mass turns the scores into clipped ratios in place and
-sums them once and, squared in place, once more. Working memory per
-worker is about 25 KiB per expert for simulate_error: the chunk's words
-and per-trial thresholds (8 KiB each), its bool votes, packed in place
-(1 KiB), and the block's packed votes (8 KiB); with the block's scores
-that is about 2.1 MiB at n = 64 and 25 MiB at n = 1001.
-estimate_min_mass keeps no per-trial thresholds, about 17 KiB per
-expert.
+Each block is scored in one _score_packed call of a rule.DecisionRule:
+the panel's build_rule for simulate_error, and for estimate_min_mass the
+rule whose weights are the log ratios of Q' to P' and whose offset is
+log b - log a. The offset comes first, then one 256-entry table lookup
+per byte of 8 votes, byte by byte in index order. simulate_error counts
+the block's mismatches, and estimate_min_mass turns the scores into
+clipped ratios in place and sums them once and, squared in place, once
+more. Working memory per worker is about 25 KiB per expert for
+simulate_error: the chunk's words and per-trial thresholds (8 KiB each),
+its bool votes, packed in place (1 KiB), and the block's packed votes
+(8 KiB); with the block's scores that is about 2.1 MiB at n = 64 and
+25 MiB at n = 1001. estimate_min_mass keeps no per-trial thresholds,
+about 17 KiB per expert.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExpertPanel, ProductBernoulli, ValidationError, _integer
+from .core import ExpertPanel, ProductBernoulli, ValidationError, _check_unit, _integer
 from .exact import _reduce
-from .rule import DecisionRule, _decides_one, _pack, _scores, build_rule
+from .rule import DecisionRule, _decides_one, _pack, build_rule
 
 __all__ = ["BLOCK_SIZE", "SimulationResult", "simulate_error", "estimate_min_mass"]
 
@@ -82,7 +82,7 @@ def _thresholds(p) -> np.ndarray:
 def _draw_block(seed: int, block: int, m: int, thresholds: np.ndarray):
     """(y, x): the m trials of one block, y its bool labels (None without
     a label column) and x its (ceil(n / 8), m) uint8 votes, as
-    rule._scores reads them.
+    DecisionRule._score_packed reads them.
 
     Each trial is one row of raw 64-bit words from the block's stream,
     shifted right by 11 and compared with the integer thresholds from
@@ -91,7 +91,8 @@ def _draw_block(seed: int, block: int, m: int, thresholds: np.ndarray):
     every column is a vote, 1 below thresholds[i]. With a (2, 1 + n)
     table, column 0 draws the label y, 1 below thresholds[0, 0], which
     both rows share, and the trial's whole row of words is then compared
-    with row y of the table, reading words and thresholds contiguously.
+    with row y of the table, reading words and thresholds contiguously;
+    either way each chunk takes one compare of its words.
     The words are drawn _CHUNK_ROWS rows at a time; consecutive random_raw
     calls continue the stream, so the chunks hold exactly the words of
     one whole-block draw. Each chunk's votes land in a zero-padded bool
@@ -126,12 +127,11 @@ def _draw_block(seed: int, block: int, m: int, thresholds: np.ndarray):
         k = hi - lo
         w = words.random_raw((k, width))
         w >>= np.uint64(11)
-        if y is None:
-            np.less(w, thresholds, out=chunk[:k, :n])
-        else:
+        t = thresholds
+        if lead:
             np.less(w[:, 0], thresholds[0, 0], out=y[lo:hi])
-            thresholds.take(y[lo:hi].view(np.uint8), axis=0, out=threshold[:k], mode="clip")
-            np.less(w, threshold[:k], out=chunk[:k, skip - 1:skip + n])
+            t = thresholds.take(y[lo:hi].view(np.uint8), axis=0, out=threshold[:k], mode="clip")
+        np.less(w, t, out=chunk[:k, skip - lead:skip + n])
         votes[:, lo:hi] = _pack(packed[:k])[:, lead:].T
         del w  # free the words before the next chunk's are drawn
     return y, votes
@@ -160,6 +160,18 @@ def _map_blocks(block_fn, trials: int, workers: int) -> list:
         return list(pool.map(run, range(n_blocks)))
 
 
+def _scored_blocks(rule: DecisionRule, thresholds: np.ndarray, seed: int, trials: int,
+                   workers: int, reduce) -> list:
+    """[reduce(y, scores) for each block], in block order: each block's
+    labels y and votes are drawn by _draw_block at the thresholds, and its
+    votes scored by rule. The one block loop of both estimators."""
+    def block(b: int, m: int):
+        y, x = _draw_block(seed, b, m, thresholds)
+        return reduce(y, rule._score_packed(x, m))
+
+    return _map_blocks(block, trials, workers)
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """Outcome of one generative simulation run.
@@ -177,10 +189,7 @@ class SimulationResult:
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if not 0.0 <= self.empirical_error <= 1.0:
-            raise ValidationError(
-                f"empirical_error = {self.empirical_error} lies outside [0, 1]"
-            )
+        _check_unit(self, ("empirical_error",), 0.0)
         count = self.empirical_error * self.trials
         if abs(count - round(count)) > 1e-6:
             raise ValidationError(
@@ -206,11 +215,10 @@ def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
     thresholds = _thresholds([np.r_[panel.p_y, 1.0 - panel.eta],
                               np.r_[panel.p_y, panel.psi]])
 
-    def block_count(b: int, m: int) -> int:
-        y, x = _draw_block(seed, b, m, thresholds)
-        return int(np.count_nonzero(_decides_one(_scores(x, m, rule.offset, rule._tables)) != y))
+    def mismatches(y: np.ndarray, score: np.ndarray) -> int:
+        return int(np.count_nonzero(_decides_one(score) != y))
 
-    p_hat = sum(_map_blocks(block_count, trials, workers)) / trials
+    p_hat = sum(_scored_blocks(rule, thresholds, seed, trials, workers, mismatches)) / trials
     return SimulationResult(
         trials=trials,
         empirical_error=p_hat,
@@ -243,18 +251,16 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     p, q = np.repeat(r.p, r.m), np.repeat(r.q, r.m)
     rule = DecisionRule(math.log(r.b) - math.log(r.a), np.log(q) - np.log(p),
                         np.log(1.0 - q) - np.log(1.0 - p))
-    thresholds = _thresholds(p)
 
-    def block_sums(block: int, m: int) -> tuple[float, float]:
-        ratio = _scores(_draw_block(seed, block, m, thresholds)[1], m, rule.offset, rule._tables)
+    def ratio_sums(_, ratio: np.ndarray) -> tuple[float, float]:
         # min(1, ratio), clipped in the log domain so exp cannot overflow
         np.exp(np.minimum(0.0, ratio, out=ratio), out=ratio)
         total = float(ratio.sum())
         return total, float(np.square(ratio, out=ratio).sum())
 
-    total = 0.0
-    total_sq = 0.0
-    for s1, s2 in _map_blocks(block_sums, trials, workers):
+    total = total_sq = 0.0
+    # added one by one in block order: sum() compensates floats from Python 3.12
+    for s1, s2 in _scored_blocks(rule, _thresholds(p), seed, trials, workers, ratio_sums):
         total += s1
         total_sq += s2
     estimate = total / trials

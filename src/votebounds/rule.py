@@ -25,18 +25,18 @@ It reads the votes packed 8 to a byte, and `_byte_tables` holds, for
 each byte, the summed weights of its 8 votes under each of the 256 bit
 patterns, added in index order from 0.0. They are built by
 `exact._outer_table`, the one doubling builder, which also builds the
-exact kernel's mass tables, and only `DecisionRule` builds them: both
-Monte Carlo estimators take the offset and tables of a rule. The kernel
-adds the offset and then one table entry per byte, byte by byte in index
-order: one lookup per 8 votes. `_pack` is the one packer, one multiply
-and one shift per 8 votes. A batch is read in place, byte by byte:
-`_byte_columns` reads each byte's 8 votes as one word of each row of the
-caller's own buffer, and `_pack` packs it into one reused array of m
-words, so the working memory is a few arrays of m words, whatever n is.
-Only the last 1 to 7 votes, when n is not a multiple of 8, are copied,
-and a non-contiguous batch is made contiguous once. Monte Carlo packs
-each chunk of a block's votes in place through the same `_pack` and
-hands the kernel the packed votes of the block.
+exact kernel's mass tables, and only `DecisionRule` builds and reads
+them: both Monte Carlo estimators score through a rule's
+`_score_packed`. The kernel adds the offset and then one table entry per
+byte, byte by byte in index order: one lookup per 8 votes. `_pack` is
+the one packer, one multiply and one shift per 8 votes. A batch is read
+in place, byte by byte: `_byte_columns` reads each byte's 8 votes as one
+word of each row of the caller's own buffer, and `_pack` packs it into
+one reused array of m words, so the working memory is a few arrays of m
+words, whatever n is. Only the last 1 to 7 votes, when n is not a
+multiple of 8, are copied, and a non-contiguous batch is made contiguous
+once. Monte Carlo packs each chunk of a block's votes in place through
+the same `_pack` and hands the kernel the packed votes of the block.
 
 `decide_batch` reads two batch forms with one vectorized 0/1 test and
 checks every other row one by one. A numeric 2-D ndarray of n columns is
@@ -163,8 +163,13 @@ class DecisionRule:
             pass
         return np.frombuffer(b"".join(chunks), np.uint8).reshape(-1, n)
 
+    def _score_packed(self, columns, m: int) -> np.ndarray:
+        """The m scores of votes packed 8 to a byte, one column per byte (see
+        _scores): the one reader of this rule's byte tables."""
+        return _scores(columns, m, self.offset, self._tables)
+
     def _score_rows(self, x: np.ndarray) -> np.ndarray:
-        return _scores(_byte_columns(x), len(x), self.offset, self._tables)
+        return self._score_packed(_byte_columns(x), len(x))
 
     def score(self, x) -> float:
         """Log odds of label 1 given the votes: the offset, then the

@@ -297,7 +297,7 @@ def whole_block_estimate_min_mass(P, Q, trials, seed):
     (m, n) array, with the ratio clipped at 1 after exp, not before."""
     from votebounds.exact import _reduce
     from votebounds.montecarlo import BLOCK_SIZE, _block_generator
-    from votebounds.rule import DecisionRule, _scores
+    from votebounds.rule import DecisionRule
 
     r = _reduce(P, Q)
     if not r.m.size or min(r.a, r.b) == 0.0:
@@ -310,8 +310,7 @@ def whole_block_estimate_min_mass(P, Q, trials, seed):
     for block in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
         m = min(BLOCK_SIZE, trials - block * BLOCK_SIZE)
         x = _block_generator(seed, block).random((m, p.size)) < p
-        log_lr = _scores(np.packbits(x, axis=1, bitorder="little").T, m, rule.offset,
-                         rule._tables)
+        log_lr = rule._score_packed(np.packbits(x, axis=1, bitorder="little").T, m)
         ratio = np.minimum(1.0, np.exp(log_lr))
         total += float(ratio.sum())
         total_sq += float(np.square(ratio).sum())

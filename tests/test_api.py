@@ -25,14 +25,12 @@ PUBLIC = [
     "estimate_min_mass",
     "fold_bias",
     "full_report",
-    "hellinger_envelopes",
     "load_panel",
     "lower_bound",
     "min_mass",
     "optimal_error",
     "simulate_error",
     "symmetric_lower_bound",
-    "tv_distance",
     "upper_bound",
     "validate_panel",
 ]

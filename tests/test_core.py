@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from votebounds import (
+    AffinityResult,
+    BoundsReport,
     ExpertPanel,
     ProductBernoulli,
+    SimulationResult,
     ValidationError,
     fold_bias,
     load_panel,
@@ -257,3 +261,66 @@ class TestBalancedMinInequalityGap:
         t = rng.uniform(0.0, 1.0, 10_000)
         gaps = np.array([oracles.balanced_min_inequality_gap(a, b) for a, b in zip(s, t)])
         assert gaps.min() >= -1e-12
+
+
+def affinity_record(**fields):
+    return AffinityResult(**{"min_mass": 0.5, "tv": 0.5, "bhattacharyya": 0.6, "n": 1,
+                             **fields})
+
+
+def bounds_record(**fields):
+    return BoundsReport(**{"n": 1, "pi": [0.75], "upper": 0.4, "lower": 0.25,
+                           "hellinger_lower": 0.6, "hellinger_upper": 0.8, **fields})
+
+
+def simulation_record(**fields):
+    return SimulationResult(**{"trials": 10, "empirical_error": 0.3, "std_error": 0.1,
+                               "seed": 0, **fields})
+
+
+# each result record with one of its [0, 1] fields
+RECORD_FIELDS = [
+    (affinity_record, "bhattacharyya"),
+    (bounds_record, "upper"),
+    (simulation_record, "empirical_error"),
+]
+RECORD_IDS = ["affinity", "bounds", "simulation"]
+
+
+class TestRecordRangeCheck:
+    """The one [0, 1] check that AffinityResult, BoundsReport and
+    SimulationResult share: 1e-9 of slack for the first two, none for the
+    third, NaN refused, None skipped."""
+
+    @pytest.mark.parametrize("record, name, value", [
+        (affinity_record, "bhattacharyya", 1.4),
+        (bounds_record, "upper", 1.4),
+        (bounds_record, "lower", -0.1),
+        (simulation_record, "empirical_error", 1.2),
+        (simulation_record, "empirical_error", -0.1),
+    ])
+    def test_message_names_the_field_and_value(self, record, name, value):
+        message = f"{name} = {value} lies outside [0, 1]"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            record(**{name: value})
+
+    @pytest.mark.parametrize("record, name", RECORD_FIELDS[:2], ids=RECORD_IDS[:2])
+    def test_slack_of_1e_9_accepts_just_past_one(self, record, name):
+        assert getattr(record(**{name: 1.0 + 5e-10}), name) == 1.0 + 5e-10
+
+    def test_simulation_takes_no_slack(self):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"empirical_error = {1.0 + 5e-10} lies outside [0, 1]")):
+            simulation_record(empirical_error=1.0 + 5e-10)
+
+    @pytest.mark.parametrize("record, name", RECORD_FIELDS, ids=RECORD_IDS)
+    def test_nan_is_refused(self, record, name):
+        with pytest.raises(ValidationError, match=re.escape(f"{name} = nan lies outside [0, 1]")):
+            record(**{name: math.nan})
+
+    def test_none_fields_are_skipped(self):
+        report = bounds_record(symmetric_lower=None, potential_upper=None, exact=None)
+        assert report.to_dict()["potential_upper"] is None
+        # a field after a None one is still checked
+        with pytest.raises(ValidationError, match=re.escape("manino_upper = 1.4 lies outside")):
+            bounds_record(potential_upper=None, manino_upper=1.4)

@@ -14,11 +14,10 @@ from votebounds import (
     ValidationError,
     affinity,
     bhattacharyya,
-    hellinger_envelopes,
     min_mass,
     optimal_error,
-    tv_distance,
 )
+from votebounds.bounds import _envelopes
 from votebounds.exact import _outer_table, _reduce
 
 import oracles
@@ -72,7 +71,7 @@ class TestMinMass:
     def test_structured_pairs_match_brute_enumeration(self, pair):
         p, q = pair
         assert_allclose(min_mass(p, q), oracles.brute_min_mass(p.p, q.p), atol=1e-12)
-        assert_allclose(tv_distance(p, q), oracles.brute_tv(p.p, q.p), atol=1e-12)
+        assert_allclose(affinity(p, q).tv, oracles.brute_tv(p.p, q.p), atol=1e-12)
 
     def test_duplicate_panel_keeps_relative_accuracy(self):
         # Three expert types over 21 coordinates: the overlap is about
@@ -200,7 +199,7 @@ class TestPanelReduction:
         # the reduced table never has more than 2^n points
         assert min_mass(p, q, n_max=p.n) == min_mass(p, q)
         for got, want in ((min_mass(p, q), oracles.brute_min_mass(p.p, q.p)),
-                          (tv_distance(p, q), oracles.brute_tv(p.p, q.p))):
+                          (affinity(p, q).tv, oracles.brute_tv(p.p, q.p))):
             if want == 0.0:
                 assert got == 0.0
             else:
@@ -219,7 +218,7 @@ class TestPanelReduction:
     def test_duplicate_types_match_binomial_oracle(self, rng, counts):
         P, Q, p, q = duplicate_pair(rng, counts)
         assert_allclose(min_mass(P, Q), oracles.binomial_min_mass(counts, p, q), rtol=1e-12)
-        assert_allclose(tv_distance(P, Q), oracles.binomial_tv(counts, p, q), rtol=1e-12)
+        assert_allclose(affinity(P, Q).tv, oracles.binomial_tv(counts, p, q), rtol=1e-12)
 
     @pytest.mark.parametrize("rate", [0.0, 5e-324, 0.1, 0.6, 1.0 - 2.0**-53, 1.0])
     def test_binomial_oracle_recurrence_gives_the_direct_integers(self, rate):
@@ -233,13 +232,13 @@ class TestPanelReduction:
         p[5], q[5] = 1.0, 0.0
         P, Q = ProductBernoulli(p), ProductBernoulli(q)
         assert min_mass(P, Q) == 0.0
-        assert tv_distance(P, Q) == 1.0
+        assert affinity(P, Q).tv == 1.0
 
     def test_uninformative_pair_is_exact(self, rng):
         p = rng.uniform(0.05, 0.95, 20)
         P, Q = ProductBernoulli(p), ProductBernoulli(p.copy())
         assert min_mass(P, Q) == 1.0
-        assert tv_distance(P, Q) == 0.0
+        assert affinity(P, Q).tv == 0.0
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_emptied_pairs_are_answered_from_the_scalars(self, rng, n):
@@ -249,11 +248,11 @@ class TestPanelReduction:
         i = int(rng.integers(n))
         p[i], q[i] = 1.0, 0.0
         P, Q = ProductBernoulli(p), ProductBernoulli(q)
-        assert tv_distance(P, Q) == 1.0
+        assert affinity(P, Q).tv == 1.0
         assert min_mass(P, Q) == 0.0
         R = ProductBernoulli(rng.uniform(0.05, 0.95, n))
         assert min_mass(R, R) == 1.0
-        assert tv_distance(R, R) == 0.0
+        assert affinity(R, R).tv == 0.0
 
     @pytest.mark.parametrize("m", [1, 2, 4095, 4096])
     @pytest.mark.parametrize("p, q", [(0.75, 0.25), (0.375, 0.25), (0.25, 0.75)])
@@ -262,7 +261,7 @@ class TestPanelReduction:
         # which half B takes whole
         P, Q = ProductBernoulli(np.full(m, p)), ProductBernoulli(np.full(m, q))
         assert_allclose(min_mass(P, Q), oracles.binomial_min_mass([m], [p], [q]), rtol=1e-12)
-        assert_allclose(tv_distance(P, Q), oracles.binomial_tv([m], [p], [q]), rtol=1e-12)
+        assert_allclose(affinity(P, Q).tv, oracles.binomial_tv([m], [p], [q]), rtol=1e-12)
 
     @pytest.mark.parametrize("counts, size", [
         ([2, 2, 4, 6, 12], 4095),
@@ -279,7 +278,7 @@ class TestPanelReduction:
         assert math.prod(m + 1 for m in counts) == size
         P, Q = ProductBernoulli(np.repeat(p, counts)), ProductBernoulli(np.repeat(q, counts))
         assert_allclose(min_mass(P, Q), oracles.binomial_min_mass(counts, p, q), rtol=1e-12)
-        assert_allclose(tv_distance(P, Q), oracles.binomial_tv(counts, p, q), rtol=1e-12)
+        assert_allclose(affinity(P, Q).tv, oracles.binomial_tv(counts, p, q), rtol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     def test_one_deterministic_side_everywhere(self, rng, n):
@@ -291,7 +290,7 @@ class TestPanelReduction:
         p, q = np.where(p_side, ends, rates), np.where(p_side, rates, ends)
         P, Q = ProductBernoulli(p), ProductBernoulli(q)
         assert_allclose(min_mass(P, Q), oracles.brute_min_mass(p, q), rtol=1e-12)
-        assert_allclose(tv_distance(P, Q), oracles.brute_tv(p, q), rtol=1e-12)
+        assert_allclose(affinity(P, Q).tv, oracles.brute_tv(p, q), rtol=1e-12)
 
     def test_cap_counts_the_reduced_table(self):
         # 25 identical experts reduce to one 26-state factor, well inside
@@ -321,27 +320,27 @@ class TestPanelReduction:
 class TestTvDistance:
     def test_identical_measures(self):
         p = ProductBernoulli([0.3, 0.6])
-        assert tv_distance(p, p) == pytest.approx(0.0, abs=1e-12)
+        assert affinity(p, p).tv == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_vs_noisy_pair(self):
         panel = ExpertPanel(psi=[1.0, 0.0], eta=[0.9, 0.1])
-        got = tv_distance(panel.law_given_one(), panel.law_given_zero())
+        got = affinity(panel.law_given_one(), panel.law_given_zero()).tv
         assert_allclose(got, 0.99, atol=1e-12)
 
     def test_single_coordinate(self):
-        got = tv_distance(ProductBernoulli([0.6]), ProductBernoulli([0.4]))
+        got = affinity(ProductBernoulli([0.6]), ProductBernoulli([0.4])).tv
         assert_allclose(got, 0.2, atol=1e-12)
 
     def test_complements_min_mass(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 11))
             p, q = random_pair(rng, n)
-            assert_allclose(tv_distance(p, q) + min_mass(p, q), 1.0, atol=1e-12)
+            assert_allclose(affinity(p, q).tv + min_mass(p, q), 1.0, atol=1e-12)
 
     def test_matches_brute_enumeration(self, rng):
         for n in range(1, 15):
             p, q = random_pair(rng, n)
-            assert_allclose(tv_distance(p, q), oracles.brute_tv(p.p, q.p), atol=1e-12)
+            assert_allclose(affinity(p, q).tv, oracles.brute_tv(p.p, q.p), atol=1e-12)
 
 
 class TestBhattacharyya:
@@ -356,7 +355,7 @@ class TestBhattacharyya:
     def test_envelope_equality_when_params_sum_to_one(self):
         # q = 1 - p makes the upper envelope tight
         got = bhattacharyya(ProductBernoulli([0.6]), ProductBernoulli([0.4]))
-        lower, upper = hellinger_envelopes(ProductBernoulli([0.6]), ProductBernoulli([0.4]))
+        lower, upper = _envelopes(ProductBernoulli([0.6]), ProductBernoulli([0.4]))
         assert_allclose(got, upper, rtol=1e-12)
         assert_allclose(upper, math.sqrt(0.96), rtol=1e-12)
 
@@ -375,28 +374,6 @@ class TestBhattacharyya:
             n = int(rng.integers(1, 11))
             p, q = random_pair(rng, n)
             assert min_mass(p, q) <= bhattacharyya(p, q) + 1e-12
-
-
-class TestHellingerEnvelopes:
-    def test_sandwich_on_random_pairs(self, rng):
-        for _ in range(1000):
-            n = int(rng.integers(1, 11))
-            p, q = random_pair(rng, n)
-            lower, upper = hellinger_envelopes(p, q)
-            bc = bhattacharyya(p, q)
-            assert lower <= bc + 1e-12
-            assert bc <= upper + 1e-12
-
-    def test_identical_measures(self):
-        p = ProductBernoulli([0.3, 0.8])
-        lower, upper = hellinger_envelopes(p, p)
-        assert_allclose(upper, 1.0, atol=1e-12)
-        assert_allclose(lower, 0.5, atol=1e-12)
-
-    def test_disjoint_pair_collapses_to_zero(self):
-        lower, upper = hellinger_envelopes(ProductBernoulli([1.0]), ProductBernoulli([0.0]))
-        assert lower == 0.0
-        assert upper == 0.0
 
 
 class TestAffinity:
