@@ -40,18 +40,25 @@ cancels against the sum, and a weak expert's term, |d_i| <= 1/2 with
 d_i = x_i - y_i, is log1p(-d_i^2), so 4 x_i y_i = 1 - d_i^2 never rounds:
 on 10^4 experts at psi = 1, eta = e upper_bound equals its closed form
 at e = 1e-4 to 1e-8 and is 8.9e-16 off at e = 1e-2, where the log alone
-lost up to 6.1e-13. Its complement y is summed from terms that
-cannot cancel: ((1 - psi_i) + (1 - eta_i)) / 2 beside pi_i, never
-1 - pi_i, which rounds to 0 when pi_i rounds to 1. The envelopes use it
-at x_i = ((1 - q_i) + p_i) / 2, y_i = ((1 - p_i) + q_i) / 2, since
-1 - d_i^2 = 4 x_i y_i with d_i = p_i - q_i. On the folded laws these
-are pi_i and its complement, and on a symmetric panel they are p_i and
-1 - p_i exactly. So full_report takes upper, both envelopes and the
-Manino pair from one root product of pi and its complement, in one pass
-over the folded panel: hellinger_upper = 2 upper and manino_upper =
-upper exactly, so neither adds a number of its own. The symmetric
-pieces take rates already checked, not a panel, so full_report tests
-once that pi is interior.
+lost up to 6.1e-13.
+
+One rate formula, _rates, gives x and its complement y for a pair of
+laws with rates p, q and complements pc, qc:
+
+    x_i = (qc_i + p_i) / 2,   y_i = (pc_i + q_i) / 2,
+
+so 1 - d_i^2 = 4 x_i y_i with d_i = p_i - q_i, and y is summed from
+terms that cannot cancel, never formed as 1 - x, which rounds to 0 when
+x rounds to 1. full_report passes the folded panel's psi, 1 - psi,
+1 - eta and eta, the values its two laws hold, so x is pi and y its
+complement; _envelopes passes each law's rate and complement. On a
+symmetric panel pi_i = p_i and its complement is 1 - p_i exactly. So
+full_report takes upper, both envelopes and the Manino pair from one
+root product of pi and its complement, in one pass over the folded
+panel: hellinger_upper = 2 upper and manino_upper = upper exactly, so
+neither adds a number of its own. The symmetric pieces take rates
+already checked, not a panel, so full_report tests once that pi is
+interior, and they form the log odds once, from pi and its complement.
 """
 
 from __future__ import annotations
@@ -120,31 +127,34 @@ def _root_bounds(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return 0.5 * root, math.exp(log_root - 0.5 * x.size * _LOG2), root
 
 
-def _symmetric_pieces(p: np.ndarray, root: float) -> tuple[float, float]:
-    """(symmetric lower bound, Manino lower bound) at checked interior rates
-    p whose root product is root."""
-    w = np.log(p / (1.0 - p))
-    damp = math.exp(-0.5 * math.sqrt(float(np.sum(w * w))))
-    return 0.5 * root * damp, 0.36 * root * damp
+def _rates(p, pc, q, qc) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) = ((qc + p) / 2, (pc + q) / 2): the one rate formula of the
+    root product, for rates p, q and their complements pc, qc."""
+    return 0.5 * (qc + p), 0.5 * (pc + q)
 
 
-def _potential_bounds(p: np.ndarray) -> tuple[float, float]:
-    """The committee-potential pair at checked interior rates p.
+def _symmetric_pieces(p: np.ndarray, comp: np.ndarray, root: float) -> tuple[float, ...]:
+    """(symmetric lower bound, Manino lower bound, potential_lower,
+    potential_upper) at checked interior rates p, with complements comp
+    and root product root.
 
-    With the potential F = sum_i (p_i - 1/2) log(p_i / (1 - p_i)), whose
-    summands are all nonnegative:
+    The log odds w_i = log(p_i / comp_i) are formed once. The
+    committee-potential pair, with the potential
+    F = sum_i (p_i - 1/2) w_i, whose summands are all nonnegative, is
 
         lower = 3 / (4 (1 + exp(2 F + 4 sqrt(F))))
-        upper = exp(-F / 2)
+        upper = exp(-F / 2),
 
-    Tight in the exponent as F grows but slack for small panels, which is
+    tight in the exponent as F grows but slack for small panels, which is
     what the root-product bounds fix.
     """
-    potential = float(np.sum((p - 0.5) * np.log(p / (1.0 - p))))
+    w = np.log(p / comp)
+    damp = math.exp(-0.5 * math.sqrt(float(np.sum(w * w))))
+    potential = float(np.sum((p - 0.5) * w))
     x = 2.0 * potential + 4.0 * math.sqrt(potential)
     # exp(x) overflows past x ~ 709.78; well before that 1 + exp(-x) rounds to 1
-    lower = 0.75 / (1.0 + math.exp(x)) if x < 700.0 else 0.75 * math.exp(-x)
-    return lower, math.exp(-0.5 * potential)
+    pot_lower = 0.75 / (1.0 + math.exp(x)) if x < 700.0 else 0.75 * math.exp(-x)
+    return 0.5 * root * damp, 0.36 * root * damp, pot_lower, math.exp(-0.5 * potential)
 
 
 def upper_bound(panel: ExpertPanel) -> float:
@@ -195,15 +205,11 @@ def _envelopes(P: ProductBernoulli, Q: ProductBernoulli) -> tuple[float, float]:
     The upper envelope is attained when p_i + q_i = 1 for every i; the
     lower one reflects that each factor of the affinity is at least
     1/sqrt(2) times its envelope. 1 - d_i^2 is never formed: it equals
-    4 x_i y_i with x_i = ((1 - q_i) + p_i) / 2 and y_i = ((1 - p_i) + q_i) / 2,
-    so the upper envelope is the bounds' root product at (x, y).
-    full_report takes a panel's envelopes from the root product of pi and
-    its complement, where this function would read pi back from the
-    rounded 1 - (1 - eta).
+    4 x_i y_i for (x, y) the _rates of the two laws' rates and
+    complements, so the upper envelope is the bounds' root product there.
     """
     _check_pair(P, Q)
-    p, q = P.p, Q.p
-    return _root_bounds(0.5 * ((1.0 - q) + p), 0.5 * ((1.0 - p) + q))[1:]
+    return _root_bounds(*_rates(P.p, P._c, Q.p, Q._c))[1:]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -267,19 +273,18 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
     its upper, lower and symmetric_lower. The two prior-art
     pairs have no public twin: the committee-potential pair is computed
     only here, and the Manino pair's lower end is 0.72 symmetric_lower.
-    It checks once that pi is interior and hands pi to the symmetric
-    pieces. with_exact additionally runs the
-    exact enumeration, which requires the reduced table of the folded
-    panel to stay within 2^n_max points.
+    It checks once that pi is interior and hands pi and its complement
+    to the symmetric pieces. Its rates come from the folded panel's psi
+    and eta through _rates, so it builds no law. with_exact additionally
+    runs the exact enumeration, which requires the reduced table of the
+    folded panel to stay within 2^n_max points.
     """
     folded = fold_bias(panel)
-    psi, eta = folded.psi, folded.eta
-    pi, comp = 0.5 * (psi + eta), 0.5 * ((1.0 - psi) + (1.0 - eta))
+    pi, comp = _rates(folded.psi, 1.0 - folded.psi, 1.0 - folded.eta, folded.eta)
     upper, hell_lower, hell_upper = _root_bounds(pi, comp)
     sym_lower = pot_lower = pot_upper = man_lower = man_upper = None
     if folded.symmetric and np.all((pi > 0.0) & (pi < 1.0)):
-        sym_lower, man_lower = _symmetric_pieces(pi, hell_upper)
-        pot_lower, pot_upper = _potential_bounds(pi)
+        sym_lower, man_lower, pot_lower, pot_upper = _symmetric_pieces(pi, comp, hell_upper)
         man_upper = upper
     exact = optimal_error(folded, n_max=n_max) if with_exact else None
 

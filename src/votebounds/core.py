@@ -145,12 +145,20 @@ class ProductBernoulli:
 
     Coordinate i takes value 1 with probability p[i]. The induced measure
     on the hypercube is the product of the coordinate marginals.
+
+    The private, read-only _c holds each coordinate's mass on 0, the
+    complement of p: 1.0 - p, unless the law was built from that
+    complement (ExpertPanel.law_given_zero stores eta itself). Consumers
+    read _c rather than forming 1 - p, which rounds away the digits of a
+    tiny complement. A coordinate is deterministic when p is 0 or 1.
     """
 
     p: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "p", _vector(self.p, "p"))
+        object.__setattr__(self, "_c", 1.0 - self.p)
+        self._c.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -197,9 +205,13 @@ class ExpertPanel:
         """Law of the vote vector conditioned on label 0.
 
         An expert with specificity eta votes 1 with probability 1 - eta
-        when the label is 0.
+        when the label is 0, and the law's complement _c is eta itself,
+        unrounded. The expert that fold_bias adds for a prior p_y thus
+        carries p_y.
         """
-        return ProductBernoulli(1.0 - self.eta)
+        law = ProductBernoulli(1.0 - self.eta)
+        object.__setattr__(law, "_c", self.eta)
+        return law
 
 
 def _check_panel(panel) -> ExpertPanel:

@@ -7,13 +7,15 @@ at a reduced table of 2^n_max points (n_max 24 by default); larger
 instances must go through the Monte Carlo estimators instead.
 
 Every pair is first reduced exactly to the record _Reduced, whose
-docstring states the identity both methods rest on:
+docstring states the identity both methods rest on. The reduction
+reads each law's complements (ProductBernoulli._c) beside its rates, so
+no 1 - p is formed from a rounded rate:
 - coordinates with p_i == q_i drop out;
-- m coordinates sharing one interior (p_i, q_i) pair become one
-  (m + 1)-state binomial factor;
+- m coordinates sharing one interior (p_i, q_i) pair, complements
+  included, become one (m + 1)-state binomial factor;
 - coordinates where exactly one law is deterministic peel into a scalar
   weight per law, and the other law's mass off the point mass goes
-  straight into sum |P - Q|;
+  straight into sum |P - Q| (off_a or off_b);
 - a coordinate where both laws are deterministic and differ means
   disjoint supports, and the result is exactly (0, 2).
 The same reduction stands in front of the Monte Carlo overlap
@@ -70,10 +72,10 @@ def _outer_table(factors, start, combine) -> np.ndarray:
     fastest-varying digit of the column index, and each entry is
     combined from start outward in factor order. _overlap multiplies
     the (2, s) mass factors into a (2, 1) scale; for the factors of
-    _bernoulli(p, q) from [[1], [1]], bit i of column j is coordinate i,
-    so table[0, j] is the P-probability of the vector whose i-th entry
-    is the i-th bit of j. rule._byte_tables adds the vote weights of
-    each bit to zeros.
+    _bernoulli(p, pc, q, qc) from [[1], [1]], bit i of column j is
+    coordinate i, so table[0, j] is the P-probability of the vector whose
+    i-th entry is the i-th bit of j. rule._byte_tables adds the vote
+    weights of each bit to zeros.
     """
     table = np.asarray(start, dtype=np.float64)
     for f in factors:
@@ -81,22 +83,23 @@ def _outer_table(factors, start, combine) -> np.ndarray:
     return table
 
 
-def _bernoulli(p, q) -> np.ndarray:
-    """The two-state factors [[1 - p_i, p_i], [1 - q_i, q_i]], shape (n, 2, 2)."""
+def _bernoulli(p, pc, q, qc) -> np.ndarray:
+    """The two-state factors [[pc_i, p_i], [qc_i, q_i]], shape (n, 2, 2),
+    for rates p, q and their complements pc, qc."""
     f = np.empty((len(p), 2, 2))
-    f[:, 0, 1], f[:, 1, 1] = p, q
-    f[:, :, 0] = 1.0 - f[:, :, 1]
+    f[:, 0, 0], f[:, 0, 1], f[:, 1, 0], f[:, 1, 1] = pc, p, qc, q
     return f
 
 
-def _binomial(m: int, p: float) -> list[float]:
-    """Law of the number of ones among m coordinates that each have rate p.
+def _binomial(m: int, p: float, c: float) -> list[float]:
+    """Law of the number of ones among m coordinates that each have rate p
+    and complement c.
 
     For interior p. The terms are multiplied outward from the mode by the
     ratio of neighbours and then normalized by their sum, so no term
     grows past about 1 and no binomial coefficient is formed.
     """
-    odds = p / (1.0 - p)
+    odds = p / c
     mode = int((m + 1) * p)
     w = [0.0] * (m + 1)
     w[mode] = 1.0
@@ -108,9 +111,17 @@ def _binomial(m: int, p: float) -> list[float]:
     return [x / total for x in w]
 
 
-def _point_mass_share(d: float, r: float, m: int) -> tuple[float, float]:
-    """(w, 1 - w) for w the mass that m coordinates of rate r put on all-d."""
-    log_w = m * (math.log(r) if d == 1.0 else math.log1p(-r))
+def _point_mass_share(d: float, r: float, rc: float, m: int) -> tuple[float, float]:
+    """(w, 1 - w) for w the mass that m coordinates of rate r and
+    complement rc put on all-d.
+
+    A coordinate's mass on d is r at d = 1 and rc at d = 0. Its log is
+    taken from whichever of that mass and its complement is at most 1/2:
+    a law built from its rate or from its complement holds that one
+    exactly, where the other may be rounded.
+    """
+    s, t = (r, rc) if d == 1.0 else (rc, r)
+    log_w = m * (math.log(s) if s <= 0.5 else math.log1p(-t))
     return math.exp(log_w), -math.expm1(log_w)
 
 
@@ -118,56 +129,66 @@ def _point_mass_share(d: float, r: float, m: int) -> tuple[float, float]:
 class _Reduced:
     """A pair of product laws P and Q after the exact reduction of _reduce.
 
-    p, q and m hold one entry per distinct interior pair p != q, in order
-    of first appearance: its two rates and its number of coordinates.
+    p, pc, q, qc and m hold one entry per distinct interior group with
+    p != q, in order of first appearance: its two rates, their
+    complements as the laws hold them, and its number of coordinates.
     P' and Q' are the product laws of those coordinates, each rate
     repeated m times, and over the points y of their product
         sum_x min(P, Q) = sum_y min(a P'(y), b Q'(y)),
-        sum_x |P - Q| = spill + sum_y |a P'(y) - b Q'(y)|.
-    With no groups the product has one point, of mass a under P and b
-    under Q. Disjoint supports give no groups, a = b = 0 and spill = 2.
+        sum_x |P - Q| = off_a + off_b + sum_y |a P'(y) - b Q'(y)|,
+    where off_a is P's mass off the point masses of Q's deterministic
+    coordinates and off_b is Q's off P's, so a = 1 - off_a and
+    b = 1 - off_b. With no groups the product has one point, of mass a
+    under P and b under Q, and the second sum is 2 max(off_a, off_b),
+    which never cancels as off_a + off_b + |a - b| would. Disjoint
+    supports give no groups, a = b = 0 and off_a = off_b = 1.
     """
 
     p: np.ndarray
+    pc: np.ndarray
     q: np.ndarray
+    qc: np.ndarray
     m: np.ndarray
     a: float
     b: float
-    spill: float
+    off_a: float
+    off_b: float
 
 
 def _reduce(P: ProductBernoulli, Q: ProductBernoulli) -> _Reduced:
     """The checked pair P, Q reduced exactly (see _Reduced).
 
-    Coordinates with p_i == q_i drop out, and a group with exactly one
-    deterministic side peels into the scalars: off its point mass that
-    side is zero, so all the other side's mass there is |P - Q|. a and b
-    are products of the peeled point masses, never exp of a log sum.
+    Coordinates group on their rates and complements, those with
+    p_i == q_i drop out, and a group with exactly one deterministic side,
+    by its rate, peels into the scalars: off its point mass that side is
+    zero, so all the other side's mass there is |P - Q|. a and b are
+    products of the peeled point masses, never exp of a log sum.
     """
     _check_pair(P, Q)
     a = b = 1.0
-    spill = 0.0
+    off_a = off_b = 0.0
     groups = []
-    for (pi, qi), m in Counter(zip(P.p.tolist(), Q.p.tolist())).items():
+    coords = zip(P.p.tolist(), P._c.tolist(), Q.p.tolist(), Q._c.tolist())
+    for (pi, pci, qi, qci), m in Counter(coords).items():
         if pi == qi:
             continue
         p_det, q_det = pi in (0.0, 1.0), qi in (0.0, 1.0)
         if p_det and q_det:
-            groups, a, b, spill = [], 0.0, 0.0, 2.0
+            groups, a, b, off_a, off_b = [], 0.0, 0.0, 1.0, 1.0
             break
         if p_det:
-            w, rest = _point_mass_share(pi, qi, m)
-            spill += b * rest
+            w, rest = _point_mass_share(pi, qi, qci, m)
+            off_b += b * rest
             b *= w
         elif q_det:
-            w, rest = _point_mass_share(qi, pi, m)
-            spill += a * rest
+            w, rest = _point_mass_share(qi, pi, pci, m)
+            off_a += a * rest
             a *= w
         else:
-            groups.append((pi, qi, m))
-    p, q, m = zip(*groups) if groups else ((), (), ())
-    return _Reduced(np.array(p, dtype=float), np.array(q, dtype=float),
-                    np.array(m, dtype=np.int64), a, b, spill)
+            groups.append((pi, pci, qi, qci, m))
+    *rates, m = zip(*groups) if groups else ((),) * 5
+    return _Reduced(*(np.array(v, dtype=float) for v in rates),
+                    np.array(m, dtype=np.int64), a, b, off_a, off_b)
 
 
 def _halves(factors: list) -> tuple[list, list]:
@@ -254,14 +275,15 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
             f"exceeds the enumeration cap n_max = {n_max}"
         )
     if not sizes:
-        return min(r.a, r.b), r.spill + abs(r.a - r.b)
+        return min(r.a, r.b), 2.0 * max(r.off_a, r.off_b)
     # one binomial factor per group of m > 1 coordinates, largest first,
     # then the two-state factors of single coordinates in order
-    factors = sorted((np.array((_binomial(m, p), _binomial(m, q)))
-                      for p, q, m in zip(r.p.tolist(), r.q.tolist(), sizes) if m > 1),
+    rates = (r.p, r.pc, r.q, r.qc)
+    factors = sorted((np.array((_binomial(m, p, pc), _binomial(m, q, qc)))
+                      for p, pc, q, qc, m in zip(*(v.tolist() for v in rates), sizes) if m > 1),
                      key=lambda f: f.shape[1], reverse=True)
     single = r.m == 1
-    factors.extend(_bernoulli(r.p[single], r.q[single]))
+    factors.extend(_bernoulli(*(v[single] for v in rates)))
     half_a, half_b = _halves(factors)
     ratio_b, pb, qb = _sorted_by_log_ratio(_outer_table(half_b, [[1], [1]], np.multiply))
     thresh_a, qa, pa = _sorted_by_log_ratio(_outer_table(half_a, [[r.a], [r.b]], np.multiply)[::-1])
@@ -279,7 +301,7 @@ def _overlap(P: ProductBernoulli, Q: ProductBernoulli,
     q_low -= p_low
     p_high -= q_high
     q_low += p_high
-    return overlap, r.spill + float(np.sum(q_low))
+    return overlap, r.off_a + r.off_b + float(np.sum(q_low))
 
 
 def min_mass(P: ProductBernoulli, Q: ProductBernoulli, *,
@@ -298,10 +320,10 @@ def bhattacharyya(P: ProductBernoulli, Q: ProductBernoulli) -> float:
 
     Factorizes over coordinates for product laws:
     prod_i [sqrt(p_i q_i) + sqrt((1-p_i)(1-q_i))], so no enumeration is
-    needed and any dimension is fine.
+    needed and any dimension is fine. The complements are the laws' own.
     """
     _check_pair(P, Q)
-    factors = np.sqrt(P.p * Q.p) + np.sqrt((1.0 - P.p) * (1.0 - Q.p))
+    factors = np.sqrt(P.p * Q.p) + np.sqrt(P._c * Q._c)
     return float(np.prod(factors))
 
 

@@ -29,6 +29,7 @@ pin how a block is drawn and reduced, not the statistics.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -115,13 +116,36 @@ def binomial_tv(m, p, q):
 
 
 def reduced_sums(r):
-    """(sum_y min(a P'(y), b Q'(y)), spill + sum_y |a P'(y) - b Q'(y)|)
+    """(sum_y min(a P'(y), b Q'(y)), off_a + off_b + sum_y |a P'(y) - b Q'(y)|)
     for a reduced pair r of the library's exact._Reduced, enumerating the
     points y of its groups, each rate repeated m times, one by one."""
     p_masses = r.a * brute_masses(np.repeat(r.p, r.m))
     q_masses = r.b * brute_masses(np.repeat(r.q, r.m))
     return (float(np.minimum(p_masses, q_masses).sum()),
-            r.spill + float(np.abs(p_masses - q_masses).sum()))
+            r.off_a + r.off_b + float(np.abs(p_masses - q_masses).sum()))
+
+
+def rational_error(psi, eta, p_y=0.5):
+    """optimal_error of the panel (psi, eta, p_y) as an exact Fraction.
+
+    The panel is folded as fold_bias folds it, a prior p_y != 1/2 becoming
+    one more expert with psi = eta = p_y, and half the overlap of its two
+    label laws is summed over {0, 1}^n point by point, each float read as
+    the rational it holds, so no complement is ever rounded. For at most
+    5 experts after folding.
+    """
+    psi, eta = list(map(Fraction, psi)), list(map(Fraction, eta))
+    if p_y != 0.5:
+        psi.append(Fraction(p_y))
+        eta.append(Fraction(p_y))
+    if len(psi) > 5:
+        raise ValueError("rational_error enumerates at most 5 folded experts")
+    total = Fraction(0)
+    for bits in outcomes(len(psi)):
+        one = math.prod(s if b else 1 - s for b, s in zip(bits, psi))
+        zero = math.prod(1 - e if b else e for b, e in zip(bits, eta))
+        total += min(one, zero)
+    return total / 2
 
 
 def conditional_laws(panel):

@@ -132,22 +132,12 @@ class TestSandwich:
             assert lower_bound(panel) <= err + 1e-9
             assert err <= upper_bound(panel) + 1e-9
 
+    # a tiny eta, or a tiny prior folded into an expert with eta = p_y,
+    # keeps its digits because the label-0 law carries eta as its complement
     @pytest.mark.parametrize("panel", [
         ROUNDED_TO_ONE,
-        pytest.param(
-            ExpertPanel(psi=[1e-12], eta=[1e-12]),
-            marks=pytest.mark.xfail(strict=True, reason=(
-                "FOUND in CHANGES.md: ExpertPanel.law_given_zero stores q = 1 - eta, "
-                "so exact is 9.99989e-13 against the true 1e-12 and the accurate "
-                "lower bound 1e-12 sits above it")),
-        ),
-        pytest.param(
-            ExpertPanel(psi=[0.5], eta=[0.5], p_y=1e-14),
-            marks=pytest.mark.xfail(strict=True, reason=(
-                "ROADMAP item 17: fold_bias adds an expert with eta = p_y, whose "
-                "law_given_zero stores 1 - 1e-14, so exact is 9.996e-15 against "
-                "the accurate lower bound 1e-14")),
-        ),
+        ExpertPanel(psi=[1e-12], eta=[1e-12]),
+        ExpertPanel(psi=[0.5], eta=[0.5], p_y=1e-14),
     ], ids=["pi_rounds_to_one", "tiny_eta", "tiny_prior"])
     def test_relative_slack_at_the_float_boundary(self, panel):
         report = full_report(panel, with_exact=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -45,6 +46,16 @@ class TestProductBernoulli:
         with pytest.raises(ValueError):
             law.p[0] = 0.1
 
+    def test_complement_is_one_minus_p_and_read_only(self, rng):
+        p = rng.uniform(0.0, 1.0, 7)
+        p[:2] = 0.0, 1.0
+        law = ProductBernoulli(p)
+        assert law._c.tobytes() == (1.0 - p).tobytes()
+        with pytest.raises(ValueError):
+            law._c[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            law._c = p
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             ProductBernoulli([0.5, 1.2])
@@ -83,6 +94,12 @@ class TestExpertPanel:
         panel = ExpertPanel(psi=[0.9, 0.6], eta=[0.8, 0.7])
         assert_allclose(np.asarray(panel.law_given_one().p), [0.9, 0.6])
         assert_allclose(np.asarray(panel.law_given_zero().p), [0.2, 0.3])
+
+    def test_label_zero_law_carries_eta_as_its_complement(self):
+        panel = ExpertPanel(psi=[0.9, 0.6], eta=[1e-12, 0.7])
+        law = panel.law_given_zero()
+        assert law._c is panel.eta
+        assert law.p.tolist() == [1.0 - 1e-12, 1.0 - 0.7]
 
     def test_symmetric_flag_is_exact(self):
         assert ExpertPanel(psi=[0.9, 0.6], eta=[0.9, 0.6]).symmetric
@@ -176,6 +193,12 @@ class TestFoldBias:
         assert_allclose(np.asarray(folded.psi), [0.9, 0.7])
         assert_allclose(np.asarray(folded.eta), [0.8, 0.7])
         assert folded.p_y == 0.5
+
+    def test_prior_expert_carries_the_prior_as_its_complement(self):
+        # 1 - 1e-14 is rounded; the complement the exact path reads is not
+        law = fold_bias(ExpertPanel(psi=[0.9], eta=[0.8], p_y=1e-14)).law_given_zero()
+        assert law._c.tolist() == [0.8, 1e-14]
+        assert law.p[-1] == 1.0 - 1e-14
 
     def test_idempotent(self):
         panel = ExpertPanel(psi=[0.9], eta=[0.8], p_y=0.7)

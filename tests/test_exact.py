@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -331,6 +332,14 @@ class TestTvDistance:
         got = affinity(ProductBernoulli([0.6]), ProductBernoulli([0.4])).tv
         assert_allclose(got, 0.2, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_emptied_pair_keeps_a_tiny_distance(self, n):
+        # a deterministic P empties the reduced pair, and tv = 1 - (1 - 1e-12)^n
+        # is Q's mass off P's point, which a - b of two masses near 1 cancels
+        want = float(1 - (1 - Fraction(1e-12)) ** n)
+        got = affinity(ProductBernoulli([0.0] * n), ProductBernoulli([1e-12] * n)).tv
+        assert abs(got - want) <= 1e-15 * want
+
     def test_complements_min_mass(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 11))
@@ -419,6 +428,22 @@ class TestOptimalError:
         with pytest.raises(EnumerationLimitError):
             optimal_error(panel, n_max=3)
         optimal_error(panel, n_max=4)
+
+    # values of oracles.rational_error; each tiny eta or prior is a
+    # complement the label-0 law carries, never 1 - (1 - eta)
+    @pytest.mark.parametrize("psi, eta, p_y, want", [
+        ([1e-12], [1e-12], 0.5, 1e-12),
+        ([1e-12] * 3, [1e-12] * 3, 0.5, 2.9999999999979998e-24),
+        ([0.3] * 5, [1e-12] * 5, 0.5, 0.0012150000024999997),
+        ([0.5], [0.5], 1e-14, 1e-14),
+        pytest.param([0.5], [0.5], 1e-300, 1e-300, marks=pytest.mark.xfail(strict=True, reason=(
+            "1 - 1e-300 rounds to 1.0, so the folded expert's label-0 law is "
+            "deterministic by its rate and exact returns 5.0e-301"))),
+    ], ids=["tiny_eta", "tiny_eta_x3", "tiny_eta_x5", "tiny_prior", "prior_1e-300"])
+    def test_tiny_complements_match_the_rational_oracle(self, psi, eta, p_y, want):
+        assert float(oracles.rational_error(psi, eta, p_y)) == want
+        got = optimal_error(ExpertPanel(psi=psi, eta=eta, p_y=p_y))
+        assert abs(got - want) <= 1e-14 * want
 
     def test_range(self, rng):
         for _ in range(20):
