@@ -49,10 +49,11 @@ laws with rates p, q and complements pc, qc:
 
 so 1 - d_i^2 = 4 x_i y_i with d_i = p_i - q_i, and y is summed from
 terms that cannot cancel, never formed as 1 - x, which rounds to 0 when
-x rounds to 1. full_report passes the folded panel's psi, 1 - psi,
-1 - eta and eta, the values its two laws hold, so x is pi and y its
-complement; _envelopes passes each law's rate and complement. On a
-symmetric panel pi_i = p_i and its complement is 1 - p_i exactly. So
+x rounds to 1. full_report passes the folded panel's vote rates,
+ExpertPanel._vote_rates (psi, 1 - psi, 1 - eta and eta, the values its
+two laws hold), so x is pi and y its complement; _envelopes passes each
+law's rate and complement. On a symmetric panel pi_i = p_i and its
+complement is 1 - p_i exactly. So
 full_report takes upper, both envelopes and the Manino pair from one
 root product of pi and its complement, in one pass over the folded
 panel: hellinger_upper = 2 upper and manino_upper = upper exactly, so
@@ -274,13 +275,13 @@ def full_report(panel: ExpertPanel, *, with_exact: bool = False,
     pairs have no public twin: the committee-potential pair is computed
     only here, and the Manino pair's lower end is 0.72 symmetric_lower.
     It checks once that pi is interior and hands pi and its complement
-    to the symmetric pieces. Its rates come from the folded panel's psi
-    and eta through _rates, so it builds no law. with_exact additionally
-    runs the exact enumeration, which requires the reduced table of the
-    folded panel to stay within 2^n_max points.
+    to the symmetric pieces. Its rates come from the folded panel's
+    _vote_rates through _rates, so it builds no law. with_exact
+    additionally runs the exact enumeration, which requires the reduced
+    table of the folded panel to stay within 2^n_max points.
     """
     folded = fold_bias(panel)
-    pi, comp = _rates(folded.psi, 1.0 - folded.psi, 1.0 - folded.eta, folded.eta)
+    pi, comp = _rates(*folded._vote_rates())
     upper, hell_lower, hell_upper = _root_bounds(pi, comp)
     sym_lower = pot_lower = pot_upper = man_lower = man_upper = None
     if folded.symmetric and np.all((pi > 0.0) & (pi < 1.0)):

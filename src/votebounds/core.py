@@ -197,6 +197,14 @@ class ExpertPanel:
         """True when psi equals eta entrywise, exactly."""
         return bool(np.array_equal(self.psi, self.eta))
 
+    def _vote_rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(p, pc, q, qc) = (psi, 1 - psi, 1 - eta, eta): each expert's rate
+        of a 1 vote and its complement, first under label 1, then under
+        label 0, as law_given_one and law_given_zero hold them. The one
+        place the panel's vote rates are formed; every other module reads
+        them here rather than forming 1 - psi or 1 - eta itself."""
+        return self.psi, 1.0 - self.psi, 1.0 - self.eta, self.eta
+
     def law_given_one(self) -> ProductBernoulli:
         """Law of the vote vector conditioned on label 1."""
         return ProductBernoulli(self.psi)
@@ -209,8 +217,9 @@ class ExpertPanel:
         unrounded. The expert that fold_bias adds for a prior p_y thus
         carries p_y.
         """
-        law = ProductBernoulli(1.0 - self.eta)
-        object.__setattr__(law, "_c", self.eta)
+        _, _, q, qc = self._vote_rates()
+        law = ProductBernoulli(q)
+        object.__setattr__(law, "_c", qc)
         return law
 
 

@@ -25,20 +25,23 @@ per vote. Consecutive draws continue the block's stream, so the chunks
 hold exactly the votes of one whole-block draw.
 
 estimate_min_mass samples only the interior coordinates of the pair's
-exact reduction (see exact._Reduced).
+exact reduction (see exact._Reduced), and reads the rates and the
+complements that the reduced pair carries, so it forms no 1 - q.
+simulate_error draws its votes at ExpertPanel._vote_rates.
 Each block is scored in one _score_packed call of a rule.DecisionRule:
 the panel's build_rule for simulate_error, and for estimate_min_mass the
-rule whose weights are the log ratios of Q' to P' and whose offset is
-log b - log a. The offset comes first, then one 256-entry table lookup
-per byte of 8 votes, byte by byte in index order. simulate_error counts
-the block's mismatches, and estimate_min_mass turns the scores into
-clipped ratios in place and sums them once and, squared in place, once
-more. Working memory per worker is about 25 KiB per expert for
-simulate_error: the chunk's words and per-trial thresholds (8 KiB each),
-its bool votes, packed in place (1 KiB), and the block's packed votes
-(8 KiB); with the block's scores that is about 2.1 MiB at n = 64 and
-25 MiB at n = 1001. estimate_min_mass keeps no per-trial thresholds,
-about 17 KiB per expert.
+rule._likelihood_rule whose weights are the log ratios of Q' to P' and
+whose offset is log b - log a. The offset comes first, then one
+256-entry table lookup per byte of 8 votes, byte by byte in index
+order. simulate_error counts the block's mismatches, and
+estimate_min_mass turns the scores into clipped ratios in place and sums
+them once and, squared in place, once more. Working memory per worker
+is about 25 KiB per expert for simulate_error: the chunk's words and
+per-trial thresholds (8 KiB each), its bool votes, packed in place
+(1 KiB), and the block's packed votes (8 KiB); with the block's scores
+that is about 2.1 MiB at n = 64 and 25 MiB at n = 1001.
+estimate_min_mass keeps no per-trial thresholds, about 17 KiB per
+expert.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import numpy as np
 
 from .core import ExpertPanel, ProductBernoulli, ValidationError, _check_unit, _integer
 from .exact import _reduce
-from .rule import DecisionRule, _decides_one, _pack, build_rule
+from .rule import DecisionRule, _decides_one, _likelihood_rule, _pack, build_rule
 
 __all__ = ["BLOCK_SIZE", "SimulationResult", "simulate_error", "estimate_min_mass"]
 
@@ -211,9 +214,9 @@ def simulate_error(panel: ExpertPanel, trials: int, seed: int, *,
     """
     trials, seed, workers = _check_run(trials, seed, workers)
     rule = build_rule(panel)
+    p, _, q, _ = panel._vote_rates()
     # row y: the label's threshold, then those of the votes given label y
-    thresholds = _thresholds([np.r_[panel.p_y, 1.0 - panel.eta],
-                              np.r_[panel.p_y, panel.psi]])
+    thresholds = _thresholds([np.r_[panel.p_y, q], np.r_[panel.p_y, p]])
 
     def mismatches(y: np.ndarray, score: np.ndarray) -> int:
         return int(np.count_nonzero(_decides_one(score) != y))
@@ -237,7 +240,10 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     a E[min(1, (b / a) Q'(x) / P'(x))] for x drawn from P'. Each trial
     draws x and scores the log ratio from log b - log a, so uninformative
     and deterministic coordinates cost no draws and no sampled outcome
-    has a ratio of zero, though one below e^-745 still reads 0. Returns
+    has a ratio of zero, though one below e^-745 still reads 0. Each
+    vote weighs what rule._likelihood_rule gives it from the rates and
+    complements the reduced pair carries (_Reduced.p, pc, q and qc), so
+    no 1 - q is formed from a rounded rate. Returns
     (estimate, std_error), a times the sample mean and its standard error.
 
     When the reduction leaves nothing to sample, because the supports are
@@ -248,9 +254,8 @@ def estimate_min_mass(P: ProductBernoulli, Q: ProductBernoulli, trials: int,
     trials, seed, workers = _check_run(trials, seed, workers)
     if not r.m.size or min(r.a, r.b) == 0.0:
         return min(r.a, r.b), 0.0
-    p, q = np.repeat(r.p, r.m), np.repeat(r.q, r.m)
-    rule = DecisionRule(math.log(r.b) - math.log(r.a), np.log(q) - np.log(p),
-                        np.log(1.0 - q) - np.log(1.0 - p))
+    p, pc, q, qc = (np.repeat(v, r.m) for v in (r.p, r.pc, r.q, r.qc))
+    rule = _likelihood_rule(math.log(r.b) - math.log(r.a), q, qc, p, pc)
 
     def ratio_sums(_, ratio: np.ndarray) -> tuple[float, float]:
         # min(1, ratio), clipped in the log domain so exp cannot overflow

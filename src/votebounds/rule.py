@@ -15,7 +15,11 @@ both labels weighs 0. A vector with one vote impossible under label 1
 and another impossible under label 0 scores NaN, and NaN >= 0 is false,
 so it decides 0; it has probability 0 under both labels, so no draw ever
 holds it. Every other weight is the log ratio log(a / b) written above,
-for a = P(vote | label 1) and b = P(vote | label 0).
+for a = P(vote | label 1) and b = P(vote | label 0), or log(a) - log(b)
+where a / b leaves the normal range (a subnormal rate), so it stays
+finite. `_likelihood_rule` is the one weight formula: `build_rule` hands
+it the panel's vote rates, ExpertPanel._vote_rates, and the Monte Carlo
+overlap estimator the reduced pair's rates and complements.
 
 One kernel, `_scores`, sums this for `score`, `decide_batch` and both
 Monte Carlo estimators, and one function, `_decides_one`, holds the tie
@@ -294,16 +298,29 @@ def _decides_one(score):
     return score >= 0.0
 
 
+def _likelihood_rule(offset: float, p, pc, q, qc) -> DecisionRule:
+    """The rule that adds, to offset, each vote's log(a / b), for a the
+    vote's mass under the law of rates p and complements pc (a = p for a
+    1 vote, pc for a 0 vote) and b its mass under the law of q and qc:
+    +inf or -inf when just one of a and b is 0, and 0 when a == b. Where
+    a / b leaves the normal range although a and b are both nonzero (a
+    subnormal rate, say), the weight is log(a) - log(b), which stays
+    finite. The one vote-weight formula, for build_rule and the Monte
+    Carlo overlap estimator alike."""
+    a, b = np.array([p, pc]), np.array([q, qc])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = a / b
+        # overflowed, or below the smallest normal, 2^-1022
+        far = (b > 0.0) & (ratio == np.inf) | (a > 0.0) & (ratio < 2.0**-1022)
+        w = np.log(ratio)
+        w[far] = np.log(a[far]) - np.log(b[far])
+        w1, w0 = np.where(a == b, 0.0, w)
+    return DecisionRule(offset=offset, vote_one_weights=w1, vote_zero_weights=w0)
+
+
 def build_rule(panel: ExpertPanel) -> DecisionRule:
-    """Compile a panel into its optimal (Bayes) decision rule: each weight
-    is log(a / b), for a = P(vote | label 1) and b = P(vote | label 0),
-    which is +inf or -inf when just one of a and b is 0, and 0 when a == b."""
-    psi, eta = _check_panel(panel).psi, panel.eta
-    a, b = np.array([psi, 1.0 - psi]), np.array([1.0 - eta, eta])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w1, w0 = np.where(a == b, 0.0, np.log(a / b))
-    return DecisionRule(
-        offset=math.log(panel.p_y / (1.0 - panel.p_y)),
-        vote_one_weights=w1,
-        vote_zero_weights=w0,
-    )
+    """Compile a panel into its optimal (Bayes) decision rule: the prior
+    log odds, then each vote's log(P(vote | label 1) / P(vote | label 0))
+    at the panel's vote rates (see _likelihood_rule)."""
+    p_y = _check_panel(panel).p_y
+    return _likelihood_rule(math.log(p_y / (1.0 - p_y)), *panel._vote_rates())

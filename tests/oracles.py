@@ -326,9 +326,8 @@ def whole_block_estimate_min_mass(P, Q, trials, seed):
     r = _reduce(P, Q)
     if not r.m.size or min(r.a, r.b) == 0.0:
         return min(r.a, r.b), 0.0
-    p, q = np.repeat(r.p, r.m), np.repeat(r.q, r.m)
-    rule = DecisionRule(math.log(r.b) - math.log(r.a), np.log(q) - np.log(p),
-                        np.log(1.0 - q) - np.log(1.0 - p))
+    p, pc, q, qc = (np.repeat(v, r.m) for v in (r.p, r.pc, r.q, r.qc))
+    rule = DecisionRule(math.log(r.b) - math.log(r.a), np.log(q / p), np.log(qc / pc))
     total = 0.0
     total_sq = 0.0
     for block in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):

@@ -142,22 +142,27 @@ def test_criterion_05_sandwich_property():
     def run():
         worst_low = math.inf
         worst_high = math.inf
+        worst_rel = -math.inf
         for _ in range(1000):
             n = int(rng.integers(1, 11))
             p_y = float(rng.choice([0.5, 0.7]))
             panel = oracles.random_panel(rng, n, low=0.01, high=0.99, p_y=p_y)
             folded = fold_bias(panel)
             err = optimal_error(panel)
-            worst_low = min(worst_low, err - lower_bound(folded))
-            worst_high = min(worst_high, upper_bound(folded) - err)
-        return worst_low, worst_high
+            lower, upper = lower_bound(folded), upper_bound(folded)
+            worst_low = min(worst_low, err - lower)
+            worst_high = min(worst_high, upper - err)
+            # lower <= err (1 + r) and err <= upper (1 + r) hold for r >= worst_rel
+            worst_rel = max(worst_rel, lower / err - 1.0, err / upper - 1.0)
+        return worst_low, worst_high, worst_rel
 
     start = time.perf_counter()
-    (worst_low, worst_high) = run()
+    (worst_low, worst_high, worst_rel) = run()
     elapsed = time.perf_counter() - start
     conditions = [
         (worst_low >= -1e-9, f"lower bound slack {worst_low:.3e}"),
         (worst_high >= -1e-9, f"upper bound slack {worst_high:.3e}"),
+        (worst_rel <= 1e-12, f"relative excursion {worst_rel:.3e} <= 1e-12"),
         (elapsed < 30.0, f"runtime {elapsed:.2f}s < 30 s"),
     ]
     _report(5, "bounds sandwich the exact error on 1000 panels",

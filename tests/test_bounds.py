@@ -128,9 +128,10 @@ class TestSandwich:
             p_y = float(rng.uniform(0.05, 0.95)) if i % 3 == 0 else 0.5
             panel = oracles.random_panel(rng, n, low=1e-9, high=1.0 - 1e-9, p_y=p_y,
                                          symmetric=i % 2 == 0)
-            err = optimal_error(panel)
-            assert lower_bound(panel) <= err + 1e-9
-            assert err <= upper_bound(panel) + 1e-9
+            err, lower, upper = optimal_error(panel), lower_bound(panel), upper_bound(panel)
+            assert lower <= err + 1e-9
+            assert err <= upper + 1e-9
+            assert_relative_sandwich(lower, err, upper)
 
     # a tiny eta, or a tiny prior folded into an expert with eta = p_y,
     # keeps its digits because the label-0 law carries eta as its complement

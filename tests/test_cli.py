@@ -142,6 +142,17 @@ class TestDecide:
         assert main(["decide", path, "--x", "011"]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    def test_subnormal_rate_scores_finitely(self, tmp_path, capsys):
+        # expert 0's vote 0 weighs log(0.5) - log(1e-320), though the ratio
+        # 0.5 / 1e-320 overflows; expert 1's vote 0 weighs log(1 / 0.5)
+        path = write_panel(tmp_path, psi=[0.5, 0.0], eta=[1e-320, 0.5])
+        assert main(["decide", path, "--x", "00", "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert payload["decision"] == 1
+        assert payload["score"] == pytest.approx(736.827240891, rel=1e-11)
+        assert err == ""
+
 
 class TestError:
     def test_prints_exact_value(self, counterexample_path, capsys):

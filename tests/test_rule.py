@@ -51,6 +51,15 @@ class TestBuildRule:
         assert np.array_equal(rule.vote_one_weights, np.log(psi / (1.0 - eta)))
         assert np.array_equal(rule.vote_zero_weights, np.log((1.0 - psi) / eta))
 
+    def test_subnormal_rates_weigh_finitely(self):
+        # 0.5 / 1e-320 overflows and 1e-320 / 0.5 is subnormal, yet both
+        # masses are nonzero: each weight is the finite log difference
+        psi, eta = [0.5, 1e-320], [1e-320, 0.5]
+        rule = build_rule(ExpertPanel(psi=psi, eta=eta))
+        far = math.log(0.5) - math.log(1e-320)
+        assert_allclose(rule.vote_one_weights, [math.log(0.5), -far], rtol=1e-15)
+        assert_allclose(rule.vote_zero_weights, [far, math.log(2.0)], rtol=1e-15)
+
     def test_rule_arrays_are_read_only(self):
         rule = build_rule(interior_panel())
         with pytest.raises(ValueError):
