@@ -74,6 +74,7 @@ from .core import (
     ProductBernoulli,
     ValidationError,
     _check_unit,
+    _ordered,
     _shown,
     _vector,
     fold_bias,
@@ -220,7 +221,9 @@ class BoundsReport:
     Symmetric-only entries are None for asymmetric or boundary panels,
     exact is None unless requested. pi holds the balanced accuracies of
     the folded panel as a read-only array. When exact is present it must
-    sit inside [lower, upper] up to 1e-9. hellinger_lower and
+    sit inside [max(lower, symmetric_lower), upper] up to a relative
+    rounding slack (see core._ordered), so the check holds at the tiny
+    errors of large panels too. hellinger_lower and
     hellinger_upper bracket the Bhattacharyya affinity of the folded laws,
     not the error, so they can exceed exact: one uninformative expert
     gives hellinger_lower = 1/sqrt(2) beside exact = 0.5. Two prior-art
@@ -251,10 +254,10 @@ class BoundsReport:
         object.__setattr__(self, "pi", _vector(self.pi, "pi"))
         _check_unit(self, [f.name for f in fields(self) if f.name not in ("n", "pi")], self._TOL)
         if self.exact is not None:
-            if not self.lower - self._TOL <= self.exact <= self.upper + self._TOL:
+            lower, n = max(self.lower, self.symmetric_lower or 0.0), self.n
+            if not (_ordered(lower, self.exact, n) and _ordered(self.exact, self.upper, n)):
                 raise ValidationError(
-                    f"exact error {self.exact} escapes the bracket "
-                    f"[{self.lower}, {self.upper}]"
+                    f"exact error {self.exact} escapes the bracket [{lower}, {self.upper}]"
                 )
 
     def to_dict(self) -> dict:

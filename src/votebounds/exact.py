@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExpertPanel, ProductBernoulli, ValidationError, _check_unit, _integer, fold_bias
+from .core import (ExpertPanel, ProductBernoulli, ValidationError, _check_unit, _integer,
+                   _ordered, fold_bias)
 
 __all__ = [
     "DEFAULT_N_MAX",
@@ -332,7 +333,8 @@ class AffinityResult:
     """Closeness measures for one pair of product laws.
 
     min_mass and tv are complementary (they sum to 1), and min_mass never
-    exceeds the Bhattacharyya affinity.
+    exceeds the Bhattacharyya affinity, up to a relative rounding slack
+    (see core._ordered), so the order is checked at any scale.
     """
 
     min_mass: float
@@ -348,7 +350,7 @@ class AffinityResult:
             raise ValidationError(
                 f"min_mass + tv = {self.min_mass + self.tv} deviates from 1"
             )
-        if self.min_mass > self.bhattacharyya + self._TOL:
+        if not _ordered(self.min_mass, self.bhattacharyya, self.n):
             raise ValidationError(
                 f"min_mass {self.min_mass} exceeds Bhattacharyya affinity "
                 f"{self.bhattacharyya}"

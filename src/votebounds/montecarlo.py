@@ -6,9 +6,9 @@ algorithm, so a (panel, trials, seed) triple produces the same stream on
 every platform, and distinct blocks get independent streams by
 construction rather than by distance in one long stream.
 
-Trials are sharded into fixed-size blocks, which _map_blocks fans out
-over worker threads. _scored_blocks is the one block loop of both
-estimators: it draws each block, scores it with a rule and reduces it to
+Trials are sharded into fixed-size blocks, which _scored_blocks, the
+one block loop of both estimators, sizes and fans out over worker
+threads: it draws each block, scores it with a rule and reduces it to
 either an integer mismatch count or a pair of partial float sums, and
 those are combined in block order, so the worker count never changes the
 result. The worker count is the workers argument, 1 by default; the two
@@ -145,34 +145,27 @@ def _check_run(trials, seed, workers) -> tuple[int, int, int]:
     return _integer(trials, "trials"), _integer(seed, "seed", None), _integer(workers, "workers")
 
 
-def _map_blocks(block_fn, trials: int, workers: int) -> list:
-    """[block_fn(b, m) for each block b of m trials], in block order
-    whatever the number of worker threads."""
+def _scored_blocks(rule: DecisionRule, thresholds: np.ndarray, seed: int, trials: int,
+                   workers: int, reduce) -> list:
+    """[reduce(y, scores) for each block], in block order whatever the
+    number of worker threads: each block's labels y and votes are drawn
+    by _draw_block at the thresholds, and its votes scored by rule. The
+    one block loop of both estimators."""
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def run(b: int):
-        return block_fn(b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE))
+    def block(b: int):
+        m = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
+        y, x = _draw_block(seed, b, m, thresholds)
+        return reduce(y, rule._score_packed(x, m))
 
     if workers == 1 or n_blocks == 1:
-        return [run(b) for b in range(n_blocks)]
+        return [block(b) for b in range(n_blocks)]
     # imported here, so that importing the package loads neither
     # concurrent.futures nor the logging module it pulls in
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-        return list(pool.map(run, range(n_blocks)))
-
-
-def _scored_blocks(rule: DecisionRule, thresholds: np.ndarray, seed: int, trials: int,
-                   workers: int, reduce) -> list:
-    """[reduce(y, scores) for each block], in block order: each block's
-    labels y and votes are drawn by _draw_block at the thresholds, and its
-    votes scored by rule. The one block loop of both estimators."""
-    def block(b: int, m: int):
-        y, x = _draw_block(seed, b, m, thresholds)
-        return reduce(y, rule._score_packed(x, m))
-
-    return _map_blocks(block, trials, workers)
+        return list(pool.map(block, range(n_blocks)))
 
 
 @dataclass(frozen=True)

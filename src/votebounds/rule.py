@@ -21,26 +21,27 @@ finite. `_likelihood_rule` is the one weight formula: `build_rule` hands
 it the panel's vote rates, ExpertPanel._vote_rates, and the Monte Carlo
 overlap estimator the reduced pair's rates and complements.
 
-One kernel, `_scores`, sums this for `score`, `decide_batch` and both
-Monte Carlo estimators, and one function, `_decides_one`, holds the tie
-rule for `decide`, `decide_batch`, the CLI's decide and `simulate_error`,
-so no caller can drift from the others on a tie.
+One kernel, `DecisionRule._score_packed`, sums this for `score`,
+`decide_batch` and both Monte Carlo estimators, and one function,
+`_decides_one`, holds the tie rule for `decide`, `decide_batch`, the
+CLI's decide and `simulate_error`, so no caller can drift from the
+others on a tie.
 It reads the votes packed 8 to a byte, and `_byte_tables` holds, for
 each byte, the summed weights of its 8 votes under each of the 256 bit
 patterns, added in index order from 0.0. They are built by
 `exact._outer_table`, the one doubling builder, which also builds the
-exact kernel's mass tables, and only `DecisionRule` builds and reads
-them: both Monte Carlo estimators score through a rule's
-`_score_packed`. The kernel adds the offset and then one table entry per
-byte, byte by byte in index order: one lookup per 8 votes. `_pack` is
-the one packer, one multiply and one shift per 8 votes. A batch is read
-in place, byte by byte: `_byte_columns` reads each byte's 8 votes as one
-word of each row of the caller's own buffer, and `_pack` packs it into
-one reused array of m words, so the working memory is a few arrays of m
-words, whatever n is. Only the last 1 to 7 votes, when n is not a
-multiple of 8, are copied, and a non-contiguous batch is made contiguous
-once. Monte Carlo packs each chunk of a block's votes in place through
-the same `_pack` and hands the kernel the packed votes of the block.
+exact kernel's mass tables, and only `DecisionRule` builds them and only
+its `_score_packed` reads them. The kernel adds the offset and then one
+table entry per byte, byte by byte in index order: one lookup per 8
+votes. `_pack` is the one packer, one multiply and one shift per 8
+votes. A batch is read in place, byte by byte: `_byte_columns` reads
+each byte's 8 votes as one word of each row of the caller's own buffer,
+and `_pack` packs it into one reused array of m words, so the working
+memory is a few arrays of m words, whatever n is. Only the last 1 to 7
+votes, when n is not a multiple of 8, are copied, and a non-contiguous
+batch is made contiguous once. Monte Carlo packs each chunk of a block's
+votes in place through the same `_pack` and hands the kernel the packed
+votes of the block.
 
 `decide_batch` reads two batch forms with one vectorized 0/1 test and
 checks every other row one by one. A numeric 2-D ndarray of n columns is
@@ -168,9 +169,19 @@ class DecisionRule:
         return np.frombuffer(b"".join(chunks), np.uint8).reshape(-1, n)
 
     def _score_packed(self, columns, m: int) -> np.ndarray:
-        """The m scores of votes packed 8 to a byte, one column per byte (see
-        _scores): the one reader of this rule's byte tables."""
-        return _scores(columns, m, self.offset, self._tables)
+        """The m scores offset + sum_j tables[j, col_j[r]], r < m, of votes
+        packed 8 to a byte, added byte by byte in index order (a matmul or
+        a reduction sums in another order), where col_j, item j of
+        columns, holds the (m,) packed votes of byte j as integers: a row
+        of Monte Carlo's uint8 block votes, or a column of _byte_columns.
+        The one reader of this rule's byte tables (see _byte_tables)."""
+        s = np.full(m, self.offset)
+        term = np.empty(m)
+        with np.errstate(invalid="ignore"):  # +inf and -inf add to NaN
+            for table, col in zip(self._tables, columns, strict=True):
+                table.take(col, out=term, mode="clip")  # a byte needs no bounds check
+                s += term
+        return s
 
     def _score_rows(self, x: np.ndarray) -> np.ndarray:
         return self._score_packed(_byte_columns(x), len(x))
@@ -244,52 +255,32 @@ def _pack(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.right_shift(out, np.uint64(56), out=out)
 
 
-def _vote_words(x: np.ndarray):
-    """For each byte j of the contiguous (m, n) 1-byte rows x, the (m,)
-    little-endian words of votes 8j .. 8j + 7: a full byte's word is read
-    in place, unaligned, at offset 8j of each row; the last 1 to 7 votes,
-    when n is not a multiple of 8, are copied into a zero-padded (m, 8)
-    buffer, made only when they are reached, so that it never coexists
-    with the buffer numpy fills for a multiply of unaligned words."""
-    m, n = x.shape
-    full = n - n % 8
-    yield from x[:, :full].view("<u8").T
-    if full < n:
-        pad = np.zeros((m, 8), dtype=np.uint8)
-        pad[:, :n - full] = x[:, full:]
-        yield pad.view("<u8")[:, 0]
-
-
 def _byte_columns(x: np.ndarray):
     """For each byte j of the (m, n) 1-byte 0/1 rows x, the (m,) int64
     byte j of np.packbits(x, axis=1, bitorder="little"): bit i of it is
     vote 8j + i, and the votes past n are 0.
 
-    The votes are read from x itself (see _vote_words), made contiguous
-    once if they are not, and _pack packs each word of 8 into one reused
-    (m,) scratch that every column shares, so a column must be used
-    before the next is drawn."""
+    The votes are read from x itself, made contiguous once if they are
+    not: a full byte's 8 votes are read in place as one little-endian
+    word, unaligned, at offset 8j of each row. The last 1 to 7 votes, when
+    n is not a multiple of 8, are copied into a zero-padded (m, 8) buffer,
+    made only when they are reached, so that it never coexists with the
+    buffer numpy fills for a multiply of unaligned words. _pack packs each
+    word of 8 into one reused (m,) scratch that every column shares, so a
+    column must be used before the next is drawn."""
     x = np.ascontiguousarray(x).view(np.uint8)
-    word = np.empty(len(x), dtype=np.uint64)
+    m, n = x.shape
+    full = n - n % 8
+    word = np.empty(m, dtype=np.uint64)
     index = word.view(np.int64)  # take reads it with no cast
-    for votes in _vote_words(x):
+    for votes in x[:, :full].view("<u8").T:
         _pack(votes, out=word)
         yield index
-
-
-def _scores(columns, m: int, offset: float, tables: np.ndarray) -> np.ndarray:
-    """offset + sum_j tables[j, col_j[r]] for r < m, added byte by byte in
-    index order (a matmul or a reduction sums in another order), where
-    col_j, item j of columns, holds the (m,) packed votes of byte j as
-    integers: a row of Monte Carlo's uint8 block votes, or a column of
-    _byte_columns. tables from _byte_tables."""
-    s = np.full(m, offset)
-    term = np.empty(m)
-    with np.errstate(invalid="ignore"):  # +inf and -inf add to NaN
-        for table, col in zip(tables, columns, strict=True):
-            table.take(col, out=term, mode="clip")  # a byte needs no bounds check
-            s += term
-    return s
+    if full < n:
+        pad = np.zeros((m, 8), dtype=np.uint8)
+        pad[:, :n - full] = x[:, full:]
+        _pack(pad.view("<u8")[:, 0], out=word)
+        yield index
 
 
 def _decides_one(score):

@@ -345,8 +345,8 @@ def whole_block_estimate_min_mass(P, Q, trials, seed):
 def column_scores(x, offset, w1, w0):
     """offset + sum_i (w1[i] if x[r, i] else w0[i]) for each row r of bool
     x, added column by column in index order: the reference for the
-    byte-table kernel rule._scores, which adds the same terms a byte of 8
-    votes at a time."""
+    byte-table kernel rule.DecisionRule._score_packed, which adds the same
+    terms a byte of 8 votes at a time."""
     s = np.full(x.shape[0], offset)
     term = np.empty(x.shape[0])
     for pair, col in zip(np.stack([w0, w1], axis=1), x.view(np.uint8).T):

@@ -37,8 +37,8 @@ def sym_candidate(eps):
     return eps * (1.0 - eps) * (eps / (1.0 - eps)) ** (1.0 / math.sqrt(2.0))
 
 
-# a relative slack: the absolute 1e-9 of BoundsReport hides any violation
-# by a bound smaller than 1e-9
+# a relative slack, as BoundsReport's own check has: an absolute 1e-9
+# would hide any violation by a bound smaller than 1e-9
 RTOL = 1e-12
 
 # pi = (1 + (1 - 2^-53)) / 2 rounds to 1, while the exact error is 2^-54
@@ -575,6 +575,27 @@ class TestBoundsReport:
                 hellinger_lower=0.1,
                 hellinger_upper=0.9,
             )
+
+    @pytest.mark.parametrize("bracket", [
+        {"lower": 1e-21, "upper": 1e-20},
+        {"lower": 1e-21, "symmetric_lower": 3e-20, "upper": 1e-19},
+        {"lower": 3e-20, "upper": 1e-19},
+    ], ids=["above-upper", "below-symmetric-lower", "below-lower"])
+    def test_bracket_check_is_relative(self, bracket):
+        # exact = 2e-20 lies within an absolute 1e-9 of each bracket, but
+        # outside it by a factor of 1.5 or more
+        with pytest.raises(ValidationError, match="escapes the bracket"):
+            BoundsReport(n=1, pi=[0.75], hellinger_lower=0.1, hellinger_upper=0.9,
+                         exact=2e-20, **bracket)
+
+    def test_bracket_slack_allows_rounding(self):
+        # a product of n rounded factors, and subnormal rounding
+        report = BoundsReport(n=1000, pi=[0.75], lower=1e-20 * (1.0 + 1e-13), upper=1e-19,
+                              hellinger_lower=0.1, hellinger_upper=0.9, exact=1e-20)
+        assert report.exact == 1e-20
+        report = BoundsReport(n=1, pi=[0.75], lower=3 * 2.0**-1074, upper=0.5,
+                              hellinger_lower=0.1, hellinger_upper=0.9, exact=0.0)
+        assert report.exact == 0.0
 
 
 class TestCounterexampleSweep:

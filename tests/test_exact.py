@@ -401,6 +401,11 @@ class TestAffinity:
         with pytest.raises(ValidationError, match=r"min_mass = 1.5 lies outside \[0, 1\]"):
             AffinityResult(min_mass=1.5, tv=-0.5, bhattacharyya=0.6, n=2)
 
+    def test_order_check_is_relative(self):
+        # min_mass is twice the affinity, though within an absolute 1e-9 of it
+        with pytest.raises(ValidationError, match="exceeds Bhattacharyya affinity"):
+            AffinityResult(min_mass=2e-20, tv=1 - 2e-20, bhattacharyya=1e-20, n=1)
+
 
 class TestOptimalError:
     def test_uninformative_panel_is_half(self):

@@ -230,7 +230,7 @@ class TestDecideBatch:
 
 
 class TestByteKernel:
-    # _scores adds one table entry per byte of 8 packed votes, where the
+    # _score_packed adds one table entry per byte of 8 packed votes, where the
     # column scorer of the oracles adds one weight per vote
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 1001])
     def test_matches_column_scorer(self, rng, n):
@@ -267,7 +267,7 @@ class TestByteKernel:
             with np.errstate(invalid="ignore"):
                 for table, col in zip(tables, packed):
                     expected = expected + table[col]
-            assert np.array_equal(votebounds.rule._scores(packed, 50, 0.7, tables), expected,
+            assert np.array_equal(DecisionRule(0.7, w1, w0)._score_packed(packed, 50), expected,
                                   equal_nan=True)
 
     def test_packing_matches_packbits(self, rng):
